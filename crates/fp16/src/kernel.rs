@@ -19,22 +19,45 @@
 //!   round-to-nearest-even common case runs a short branch-free hardware
 //!   path, everything else (special values, directed rounding modes)
 //!   falls back to the scalar softfloat `fma` on the packed encodings.
+//! * [`fma_row_staged`] runs the same step over a row of accumulators in
+//!   32-lane vector chunks, in two tiers: a chunk whose results are all
+//!   binary16 normals takes the cheapest pack; a chunk that also has zero
+//!   or subnormal results is retried with a pass that rounds those too.
+//!   Only a chunk with an infinity, NaN or overflowing lane, or a directed
+//!   rounding mode, is redone on the scalar path.
 //!
 //! # Why hardware `f64` is bit-exact here
 //!
 //! The fast path computes `t = a*b + acc` in `f64`. The product of two
 //! binary16 significands has at most 22 bits, so `a*b` is **exact** in
 //! `f64`; the addition then performs a single IEEE rounding of the exact
-//! sum to 53 bits. Rounding that 53-bit result again to binary16's 11-bit
-//! significand is an *innocuous double rounding*: a double-rounding
-//! mismatch needs the exact sum to sit within half a 53-bit ulp of an
-//! 11-bit rounding boundary without lying on it, and a sum of a 22-bit
-//! product and an 11-bit addend never has enough significant bits to get
-//! that close (53 well exceeds the 3·11+2 bound for FMA). The claim is
-//! not taken on faith: every `fma_acc` in a debug build re-checks itself
-//! against `arith::fma`, and the release kernel is locked by the frozen
-//! FMA vectors, an exhaustive-pairs differential sweep and a class-aware
-//! proptest.
+//! sum to 53 bits. What happens next depends on where `t` lands.
+//!
+//! * **Normal results** (`2^-14 <= |t| < 2^16`). Rounding the 53-bit `t`
+//!   again to binary16's 11-bit significand is an *innocuous double
+//!   rounding*: a double-rounding mismatch needs the exact sum to sit
+//!   within half a 53-bit ulp of an 11-bit rounding boundary without
+//!   lying on it, and a sum of a 22-bit product and an 11-bit addend never
+//!   has enough significant bits to get that close (53 well exceeds the
+//!   3·11+2 bound for FMA). The pack rounds the fraction in place.
+//! * **Zero and subnormal results** (`|t| < 2^-14`). Every binary16 value
+//!   is a multiple of `2^-24`, so `a*b` lies on the `2^-48` grid and the
+//!   exact sum does too. Below `2^-14` that leaves it at most 34
+//!   significant bits, so the `f64` addition is **exact** — no first
+//!   rounding happens at all. (Rounding is monotone and `2^-14` is an
+//!   `f64`, so a computed `|t| < 2^-14` implies an exact one.) A single
+//!   round-to-nearest-even of the exact value onto binary16's `2^-24`
+//!   subnormal grid is then the correct result: `(|t| + 2^28) - 2^28`
+//!   performs exactly that round, because `f64` values in `[2^28, 2^29)`
+//!   are spaced `2^-24` apart, and ORing the sign of `t` back in yields
+//!   the IEEE signed zero — `+0` for an exact cancellation, `t`'s sign for
+//!   an exact-zero sum of zeros or a tiny result that rounds away.
+//!
+//! The claim is not taken on faith: every `fma_acc` and every accepted
+//! vector lane in a debug build re-checks itself against `arith::fma`,
+//! and the release kernel is locked by the frozen FMA vectors, an
+//! exhaustive-pairs differential sweep through both `fma_acc` and
+//! `fma_row_staged`, and a class-aware proptest.
 //!
 //! The equivalence contract:
 //!
@@ -215,10 +238,6 @@ impl Acc {
 /// encodings — same single rounding, same NaN canonicalisation, same IEEE
 /// zero- and infinity-sign rules. Debug builds assert exactly that on
 /// every single call.
-// modelcheck-allow: RM-FP-001 -- f64 fast path: exact 22-bit product, one
-// hardware rounding, innocuous double rounding to binary16 (module docs);
-// bit-exactness locked by per-call debug assertions and the exhaustive
-// differential suite.
 #[inline(always)]
 pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
     let out = if a.tag | b.tag == TAG_FINITE && matches!(mode, Round::NearestEven) {
@@ -229,31 +248,9 @@ pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
         // identical to the scalar FMA's special-value rules here — and
         // surfaces as an out-of-range exponent handled by the cold tail.
         let t = a.v * b.v + acc.v;
-        let tb = t.to_bits();
-        let biased = ((tb >> 52) & 0x7FF) as i32;
-        // Binary16 normal results have unbiased exponent in [-14, 15],
-        // i.e. biased (f64) exponent in [1009, 1038]. Zero, subnormal and
-        // overflowing results take the cold conversion path.
-        if (biased - 1009) as u32 > 29 {
-            round_out_of_range(t)
-        } else {
-            // Round the 52-bit fraction to binary16's 10 fraction bits in
-            // place (kept lsb at bit 42, round bit at 41, sticky below)
-            // with the add-and-truncate formulation of round-to-nearest-
-            // even: adding `lsb + (half - 1)` carries into bit 42 exactly
-            // when the discarded fraction exceeds half an ulp, or equals
-            // it with an odd kept lsb. A significand carry ripples
-            // straight into the exponent field, which is exactly the IEEE
-            // renormalisation; only the overflow re-check remains.
-            let lsb = (tb >> 42) & 1;
-            let rb = (tb + lsb + ((1u64 << 41) - 1)) & !((1u64 << 42) - 1);
-            if (rb >> 52) & 0x7FF > 1038 {
-                inf_acc(tb >> 63 != 0)
-            } else {
-                Acc {
-                    v: f64::from_bits(rb),
-                }
-            }
+        match round_lane::<true>(t) {
+            (v, true) => Acc { v },
+            _ => round_out_of_range(t),
         }
     } else {
         fma_acc_slow(a, b, acc, mode)
@@ -269,30 +266,73 @@ pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
     out
 }
 
-/// Cold tail of the fast path: the exact-to-53-bits sum `t` rounds to a
-/// zero, subnormal or out-of-range binary16, or the accumulator carried
-/// in an infinity / NaN that the hardware addition propagated. `from_f64`
-/// performs exactly the required second rounding (gradual underflow and
-/// NaN canonicalisation included); the double rounding stays innocuous
-/// because subnormal results keep *fewer* than 11 bits.
+/// Rounds one step's `f64` sum `t = a*b + acc` to binary16 under
+/// round-to-nearest-even: returns the rounded value (binary16-exact, kept
+/// in `f64` form) and whether this pack is valid for `t`. The value is
+/// meaningless when the flag is `false`.
+///
+/// * **Normal pack** — `t`'s biased `f64` exponent lies in the binary16
+///   normal window `[1009, 1038]` (unbiased `[-14, 15]`). The 52-bit
+///   fraction is rounded to binary16's 10 fraction bits in place (kept lsb
+///   at bit 42, round bit at 41, sticky below) by add-and-truncate:
+///   adding `lsb + (half - 1)` carries into bit 42 exactly when the
+///   discarded fraction exceeds half an ulp, or equals it with an odd kept
+///   lsb. A significand carry ripples straight into the exponent field —
+///   exactly the IEEE renormalisation — so only the overflow re-check
+///   (exponent at most 1038 after the carry) remains.
+/// * **Zero / subnormal pack**, only when `SUBNORMAL` — `|t| < 2^-14`,
+///   where `t` is the exact sum (module docs): `(|t| + 2^28) - 2^28` is
+///   the single round onto the `2^-24` grid, and `t`'s sign is ORed back
+///   in for the IEEE signed zero.
+///
+/// Overflow before or after the rounding carry, and every infinity or NaN
+/// (their sums carry the all-ones exponent), is never valid; nor, without
+/// `SUBNORMAL`, is a zero or subnormal result. The checks are bitwise
+/// `&`s and the tier choice a select, so the function stays branch-free
+/// and vectorises inside the chunk loop.
+// modelcheck-allow: RM-FP-001 -- the binary16 RNE pack of an f64 sum; the
+// normal pack is innocuous double rounding and the subnormal pack rounds
+// an exact sum once (module docs); locked lane-for-lane against
+// `arith::fma` by the debug assertions of every caller.
+#[inline(always)]
+fn round_lane<const SUBNORMAL: bool>(t: f64) -> (f64, bool) {
+    const HALF_M1: u64 = (1u64 << 41) - 1;
+    const TRUNC: u64 = !((1u64 << 42) - 1);
+    const SIGN: u64 = 1u64 << 63;
+    // Lowest biased exponent the pack accepts: the binary16 normal floor,
+    // or everything below it too when the zero/subnormal pack is on.
+    let lo: u64 = if SUBNORMAL { 0 } else { 1009 };
+    let tb = t.to_bits();
+    let biased = (tb >> 52) & 0x7FF;
+    // Wrapping: a NaN's all-ones exponent may carry into the sign bit,
+    // which the window check on `biased` rejects anyway.
+    let rb = tb.wrapping_add(((tb >> 42) & 1) + HALF_M1);
+    let ok = (biased.wrapping_sub(lo) <= 1038 - lo) & ((rb >> 52) & 0x7FF <= 1038);
+    let normal = rb & TRUNC;
+    let out = if SUBNORMAL {
+        const GRID: f64 = (1u64 << 28) as f64;
+        let sub = ((t.abs() + GRID) - GRID).to_bits() | (tb & SIGN);
+        if biased < 1009 {
+            sub
+        } else {
+            normal
+        }
+    } else {
+        normal
+    };
+    (f64::from_bits(out), ok)
+}
+
+/// Cold tail of the fast path: the sum `t` overflows binary16 (before or
+/// after rounding), or the accumulator carried in an infinity / NaN that
+/// the hardware addition propagated. Zero and subnormal results never get
+/// here — [`round_lane`] packs them exactly. `from_f64` produces the
+/// signed infinity or canonical NaN.
 // modelcheck-allow: RM-FP-001 -- re-uses the trusted f64-to-binary16
 // conversion for the rare out-of-range results.
 #[cold]
 fn round_out_of_range(t: f64) -> Acc {
     Acc::from_bits(from_f64(t, Round::NearestEven))
-}
-
-// modelcheck-allow: RM-FP-001 -- constant f64 infinities.
-#[inline]
-fn inf_acc(sign: bool) -> Acc {
-    // Round-to-nearest-even overflows to infinity (never saturates).
-    Acc {
-        v: if sign {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        },
-    }
 }
 
 /// Fallback for special values and directed rounding modes: one scalar
@@ -363,12 +403,16 @@ impl Staged {
 /// rounded once under `mode` — bit-for-bit `arith::fma` per lane, exactly
 /// like [`fma_row`].
 ///
-/// The round-to-nearest-even common case runs a branchless two-pass
-/// vector kernel over the flat `f64` lanes; any lane whose result leaves
-/// the binary16 normal range — which includes every special operand or
-/// accumulator, since infinities and NaNs surface as an all-ones `f64`
-/// exponent in the sum — reverts the whole row to the scalar
-/// [`fma_acc`] path on the packed encodings.
+/// The round-to-nearest-even common case runs a branchless vector kernel
+/// over the flat `f64` lanes, one chunk of at most 32 lanes at a time, in
+/// two tiers. The first accepts a chunk only if every result is a
+/// binary16 normal; a chunk it rejects is retried by the second, which
+/// also rounds zero and subnormal results. A chunk the second tier rejects
+/// too — an overflowing lane, or any special operand or accumulator,
+/// since infinities and NaNs surface as an all-ones `f64` exponent in the
+/// sum — is rolled back and redone on the scalar [`fma_acc`] path over the
+/// packed encodings; the rest of the row stays on the vector path.
+/// Directed rounding modes take the scalar path for the whole row.
 #[inline]
 pub fn fma_row_staged(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [Acc], mode: Round) {
     if !matches!(mode, Round::NearestEven) {
@@ -380,8 +424,11 @@ pub fn fma_row_staged(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [A
     let mut j = 0;
     while j < n {
         let c = CHUNK.min(n - j);
-        if !fma_chunk_fast(a, &w.vals[w0 + j..w0 + j + c], &mut acc[j..j + c]) {
-            fma_row_slow(x, xi, w, w0 + j, &mut acc[j..j + c], mode);
+        let (wc, ac) = (&w.vals[w0 + j..w0 + j + c], &mut acc[j..j + c]);
+        // The normal-only tier stays the first try: folding the subnormal
+        // select into it would tax every all-normal chunk.
+        if !fma_chunk::<false>(a, wc, ac) && !fma_chunk::<true>(a, wc, ac) {
+            fma_row_slow(x, xi, w, w0 + j, ac, mode);
         }
         j += c;
     }
@@ -404,22 +451,21 @@ const CHUNK: usize = 32;
 
 /// Branchless vector core of [`fma_row_staged`]: attempts one chunk of at
 /// most [`CHUNK`] lanes on the `f64` fast path, restoring `acc` untouched
-/// and returning `false` if *any* lane falls outside the binary16
-/// normal-result range.
+/// and returning `false` if *any* lane's result is one this tier's
+/// [`round_lane`] pack cannot produce.
 ///
-/// Every lane is verified as it is computed: the sum's biased exponent
-/// must sit in the binary16 normal window `[1009, 1038]` before rounding
-/// and at most `1038` after the rounding carry. Zero, subnormal and
-/// overflowing results fail the window, and so does every infinity or NaN
-/// in any operand or accumulator (their sums carry the all-ones
-/// exponent), which is why the loop needs no classification tags. The
-/// loop is straight-line arithmetic over stride-8 lanes, which the
-/// compiler vectorises; original accumulator values are spilled to a
-/// stack buffer so a failed chunk unwinds exactly.
+/// `SUBNORMAL` selects the tier. Without it only binary16 normal results
+/// pass; with it zero and subnormal results pass too. Overflowing results
+/// fail both, and so does every infinity or NaN in any operand or
+/// accumulator (their sums carry the all-ones exponent), which is why the
+/// loop needs no classification tags. The loop is straight-line
+/// arithmetic over stride-8 lanes, which the compiler vectorises;
+/// original accumulator values are spilled to a stack buffer so a failed
+/// chunk unwinds exactly.
 // modelcheck-allow: RM-FP-001 -- f64 vector fast path dispatcher; see
-// `fma_chunk_fast_portable` for the bit-exactness argument.
+// `round_lane` and the module docs for the bit-exactness argument.
 #[inline]
-fn fma_chunk_fast(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
+fn fma_chunk<const SUBNORMAL: bool>(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
     // The portable loop is straight-line IEEE f64 arithmetic and integer
     // bit manipulation, so recompiling it with wider vector units changes
     // which instructions execute but not a single result bit. The x86-64
@@ -432,54 +478,52 @@ fn fma_chunk_fast(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
         // SAFETY: AVX2 availability is verified by the runtime detection
         // above; the function body is the safe portable loop, merely
         // compiled with the wider instruction set enabled.
-        return unsafe { fma_chunk_fast_avx2(a, w, acc) };
+        return unsafe { fma_chunk_avx2::<SUBNORMAL>(a, w, acc) };
     }
-    fma_chunk_fast_portable(a, w, acc)
+    fma_chunk_portable::<SUBNORMAL>(a, w, acc)
 }
 
 /// The portable chunk loop recompiled with AVX2 codegen enabled, so the
 /// compiler auto-vectorises it four `f64` lanes wide.
+///
+/// # Safety
+///
+/// The CPU executing the call must support AVX2.
 // modelcheck-allow: RM-FP-001 -- identical safe code to
-// `fma_chunk_fast_portable`, only the enabled instruction set differs.
+// `fma_chunk_portable`, only the enabled instruction set differs.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
-unsafe fn fma_chunk_fast_avx2(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
-    fma_chunk_fast_portable(a, w, acc)
+unsafe fn fma_chunk_avx2<const SUBNORMAL: bool>(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
+    fma_chunk_portable::<SUBNORMAL>(a, w, acc)
 }
 
 // modelcheck-allow: RM-FP-001 -- f64 vector fast path: exact 22-bit
-// products, one hardware rounding per lane, innocuous double rounding to
-// binary16 (module docs); locked lane-for-lane against `arith::fma` by
-// the debug assertion below and the kernel differential tests.
+// products, one hardware rounding per lane, then the `round_lane` pack
+// (module docs); locked lane-for-lane against `arith::fma` by the debug
+// assertion below and the kernel differential tests.
 #[inline(always)]
-fn fma_chunk_fast_portable(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
-    const HALF_M1: u64 = (1u64 << 41) - 1;
-    const TRUNC: u64 = !((1u64 << 42) - 1);
+fn fma_chunk_portable<const SUBNORMAL: bool>(a: f64, w: &[f64], acc: &mut [Acc]) -> bool {
     debug_assert!(w.len() == acc.len() && acc.len() <= CHUNK);
     let mut saved = [0.0f64; CHUNK];
     let mut ok = true;
     for ((c, &b), s) in acc.iter_mut().zip(w.iter()).zip(saved.iter_mut()) {
         *s = c.v;
-        let tb = (a * b + c.v).to_bits();
-        let pre = ((tb >> 52) & 0x7FF).wrapping_sub(1009);
-        let rb = tb + ((tb >> 42) & 1) + HALF_M1;
-        // Bitwise `&`, not `&&`: keeps the check branch-free so the loop
-        // stays straight-line vector code.
-        ok &= (pre <= 29) & ((rb >> 52) & 0x7FF <= 1038);
+        let (v, lane_ok) = round_lane::<SUBNORMAL>(a * b + c.v);
+        ok &= lane_ok;
         #[cfg(debug_assertions)]
-        if pre <= 29 && (rb >> 52) & 0x7FF <= 1038 {
+        if lane_ok {
             debug_assert_eq!(
-                narrow(f64::from_bits(rb & TRUNC)),
+                narrow(v),
                 crate::arith::fma(narrow(a), narrow(b), narrow(c.v), Round::NearestEven),
-                "vector lane drifted from scalar fma: a={a} b={b} c={}",
+                "vector lane drifted from scalar fma: a={a} b={b} c={} subnormal_tier={SUBNORMAL}",
                 c.v,
             );
         }
-        c.v = f64::from_bits(rb & TRUNC);
+        c.v = v;
     }
     if !ok {
-        // Rare unwind: put the chunk back exactly as it was so the caller
-        // can redo it on the scalar path.
+        // Unwind: put the chunk back exactly as it was so the caller can
+        // retry it on the next tier or redo it on the scalar path.
         for (c, &s) in acc.iter_mut().zip(saved.iter()) {
             c.v = s;
         }
@@ -622,6 +666,90 @@ mod tests {
                 "xs={xs:#06x?} ws={ws:#06x?} y0={y0:#06x}"
             );
         }
+    }
+
+    /// One `fma_row_staged` step of `x` against per-lane `(w, y)` pairs.
+    fn staged_step(x: u16, lanes: &[(u16, u16)]) -> Vec<u16> {
+        let xs = Staged::from_bits_iter(std::iter::once(x));
+        let ws = Staged::from_bits_iter(lanes.iter().map(|&(w, _)| w));
+        let mut acc: Vec<Acc> = lanes.iter().map(|&(_, y)| Acc::from_bits(y)).collect();
+        fma_row_staged(&xs, 0, &ws, 0, &mut acc, Round::NearestEven);
+        acc.iter().map(|a| a.to_bits()).collect()
+    }
+
+    #[test]
+    fn staged_zero_and_subnormal_results_stay_on_the_vector_path() {
+        // (x, w, y, expected result)
+        let cases: [(u16, u16, u16, u16); 9] = [
+            // 1 * 1 + (-1): exact cancellation is +0.
+            (0x3C00, 0x3C00, 0xBC00, 0x0000),
+            // -0 * 1 + (-0) = -0.
+            (0x8000, 0x3C00, 0x8000, 0x8000),
+            // 2^-24 * -0.25 = -2^-26 rounds to -0.
+            (0x0001, 0xB400, 0x0000, 0x8000),
+            // -0.5 ulp: a tie between -0 and -2^-24 rounds to even, -0.
+            (0x0001, 0xB800, 0x0000, 0x8000),
+            // 1.5 ulp and 2.5 ulp ties both round to even, 2 ulp.
+            (0x0003, 0x3800, 0x0000, 0x0002),
+            (0x0005, 0x3800, 0x0000, 0x0002),
+            // Largest subnormal * (1 + 2^-10) rounds up to the min normal.
+            (0x03FF, 0x3C01, 0x0000, 0x0400),
+            // Subnormal Y of either sign.
+            (0x3C00, 0x0001, 0x0200, 0x0201),
+            (0x3C00, 0x8001, 0x8200, 0x8201),
+        ];
+        for (x, w, y, want) in cases {
+            let ctx = format!("x={x:#06x} w={w:#06x} y={y:#06x}");
+            assert_eq!(fma(x, w, y, Round::NearestEven), want, "{ctx}");
+            assert_eq!(staged_step(x, &[(w, y)]), [want], "{ctx}");
+            // The normal-only tier rejects the lane and leaves it as it
+            // was; the second tier accepts it.
+            let mut acc = [Acc::from_bits(y)];
+            assert!(
+                !fma_chunk::<false>(widen(x), &[widen(w)], &mut acc),
+                "{ctx}"
+            );
+            assert_eq!(acc[0].to_bits(), y, "{ctx}");
+            assert!(fma_chunk::<true>(widen(x), &[widen(w)], &mut acc), "{ctx}");
+            assert_eq!(acc[0].to_bits(), want, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn staged_overflow_lane_rolls_back_its_chunk_exactly() {
+        // 2 * w + y with subnormal w and y in every lane except one that
+        // overflows, then a second chunk of subnormal lanes only. Non-zero
+        // Y values make a missed rollback visible: the redo would apply
+        // the step twice.
+        let x = 0x4000; // 2.0
+        let mut lanes: Vec<(u16, u16)> = (0..CHUNK as u16 + 8)
+            .map(|j| (0x0001 + j, 0x8000 | (j + 1)))
+            .collect();
+        lanes[17] = (0x7BFF, 0x3C00); // 2 * 65504 + 1 -> +inf
+        let got = staged_step(x, &lanes);
+        let want: Vec<u16> = lanes
+            .iter()
+            .map(|&(w, y)| fma(x, w, y, Round::NearestEven))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got[17], 0x7C00);
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(j, &z)| j == 17 || z & 0x7C00 == 0));
+
+        // Both tiers reject the first chunk and restore every lane.
+        let ws: Vec<f64> = lanes[..CHUNK].iter().map(|&(w, _)| widen(w)).collect();
+        let ys: Vec<Acc> = lanes[..CHUNK]
+            .iter()
+            .map(|&(_, y)| Acc::from_bits(y))
+            .collect();
+        let mut acc = ys.clone();
+        assert!(!fma_chunk::<false>(widen(x), &ws, &mut acc));
+        assert!(!fma_chunk::<true>(widen(x), &ws, &mut acc));
+        let restored: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
+        let original: Vec<u16> = ys.iter().map(|a| a.to_bits()).collect();
+        assert_eq!(restored, original);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Differential lock of the batched kernel against the scalar `fma`.
 //!
-//! [`fma_acc`] must be bit-for-bit equivalent to `arith::fma` on the packed
-//! encodings — every rounding mode, every special-value combination. Three
-//! locks, in increasing breadth:
+//! [`fma_acc`] and [`fma_row_staged`] must be bit-for-bit equivalent to
+//! `arith::fma` on the packed encodings — every rounding mode, every
+//! special-value combination. Four locks:
 //!
 //! 1. the 200 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
 //!    the kernel — the same ground truth that pins the scalar path;
 //! 2. an exhaustive-pairs sweep: **every** one of the 65 536 bit patterns
 //!    in one operand slot against a class-covering set in the other two
 //!    slots, rotated through all three positions;
-//! 3. a dense pseudo-random soak across all five rounding modes.
+//! 3. a dense pseudo-random soak across all five rounding modes;
+//! 4. the staged vector tiers `FunctionalGemm` runs: every X pattern
+//!    broadcast through `fma_row_staged` against a row of probe-class W
+//!    lanes and signed-zero, subnormal and normal Y initialisers.
 
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{fma_acc, Acc, Operand};
+use redmule_fp16::kernel::{fma_acc, fma_row_staged, Acc, Operand, Staged};
 use redmule_fp16::Round;
 
 const VECTORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/vectors/fma.txt");
@@ -140,4 +143,98 @@ fn kernel_matches_fma_randomly_in_every_mode() {
             );
         }
     }
+}
+
+/// Y initialisers for Lock 4: signed zeros, subnormals of both signs, the
+/// minimum normal and two mid-range normals.
+const STAGED_YS: [u16; 8] = [
+    0x0000, 0x8000, 0x0001, 0x83FF, 0x0200, 0x0400, 0x3555, 0xC4CD,
+];
+
+/// `fma_row_staged` processes a row in chunks of this many lanes.
+const CHUNK: usize = 32;
+
+/// Lock 4's row, one `(w, y)` pair per lane: four probe W values against
+/// every Y initialiser fill each 32-lane chunk, so each chunk meets one
+/// path of the kernel.
+///
+/// * chunk 0 — zeros and subnormals: zero, subnormal and normal results
+///   side by side, the second vector tier's traffic;
+/// * chunk 1 — subnormal results next to a max-finite W, which overflows
+///   for any |X| above one: the whole chunk is rolled back and redone;
+/// * chunk 2 — infinities: always the scalar path;
+/// * a 16-lane tail of NaNs: a partial chunk.
+fn staged_lanes() -> Vec<(u16, u16)> {
+    let [z, nz, p1, n1, s1, ns1, smax, nmin, mx, nmx, inf, ninf, nan, snan] = probes();
+    let groups: [&[u16]; 4] = [
+        &[z, nz, ns1, smax],
+        &[s1, p1, n1, mx],
+        &[nmin, nmx, inf, ninf],
+        &[nan, snan],
+    ];
+    groups
+        .iter()
+        .flat_map(|g| {
+            g.iter()
+                .flat_map(|&w| STAGED_YS.iter().map(move |&y| (w, y)))
+        })
+        .collect()
+}
+
+/// Runs every `stride`-th X pattern through one `fma_row_staged` step
+/// against [`staged_lanes`] and compares every lane with `arith::fma`.
+fn staged_sweep(stride: usize) {
+    let lanes = staged_lanes();
+    let xs = Staged::from_bits_iter(0..=0xFFFF);
+    let ws = Staged::from_bits_iter(lanes.iter().map(|&(w, _)| w));
+    let (mut tiny_chunks, mut mixed_chunks) = (0usize, 0usize);
+    for xi in (0..=0xFFFFusize).step_by(stride) {
+        let x = xi as u16;
+        let mut acc: Vec<Acc> = lanes.iter().map(|&(_, y)| Acc::from_bits(y)).collect();
+        fma_row_staged(&xs, xi, &ws, 0, &mut acc, Round::NearestEven);
+        let want: Vec<u16> = lanes
+            .iter()
+            .map(|&(w, y)| fma(x, w, y, Round::NearestEven))
+            .collect();
+        for (j, (&(w, y), a)) in lanes.iter().zip(acc.iter()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                want[j],
+                "lane {j}: x={x:#06x} w={w:#06x} y={y:#06x}"
+            );
+        }
+        // Coverage of the finite chunks' two interesting shapes: zero or
+        // subnormal results alone, and beside an overflow to infinity.
+        if x & 0x7C00 != 0x7C00 {
+            for chunk in want[..2 * CHUNK].chunks(CHUNK) {
+                let tiny = chunk.iter().any(|&z| z & 0x7C00 == 0);
+                let overflow = chunk.iter().any(|&z| z & 0x7FFF == 0x7C00);
+                tiny_chunks += usize::from(tiny && !overflow);
+                mixed_chunks += usize::from(tiny && overflow);
+            }
+        }
+    }
+    assert!(
+        tiny_chunks > 0,
+        "no chunk had only finite zero/subnormal results"
+    );
+    assert!(
+        mixed_chunks > 0,
+        "no chunk mixed subnormal results with an overflow"
+    );
+}
+
+/// Lock 4: the staged vector tiers against the scalar `fma`, on a strided
+/// subset of X patterns (every 7th, covering every exponent and sign) so
+/// the default debug run stays fast.
+#[test]
+fn staged_kernel_matches_fma_on_strided_x() {
+    staged_sweep(7);
+}
+
+/// Lock 4, full sweep: all 65 536 X patterns (~7.3M lanes).
+#[test]
+#[ignore = "deep sweep; run with --include-ignored"]
+fn staged_kernel_matches_fma_on_every_x() {
+    staged_sweep(1);
 }
