@@ -11,8 +11,13 @@
 #   make modelcheck  — model-hygiene static analysis (DESIGN.md §10)
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)
+#   make build       — release build, plus a compile check of every
+#                      bench target (`cargo test` and clippy skip benches/)
 #   make lint        — static gates only: modelcheck + warning-free
-#                      clippy (the fast pre-push check)
+#                      clippy + warning-free rustdoc (the fast pre-push
+#                      check)
+#   make doc         — workspace rustdoc with warnings (broken or
+#                      ambiguous intra-doc links) as errors
 #   make figures     — regenerate every table/figure (quick sweep sizes)
 #   make batch-smoke — batch-throughput smoke run; fails unless
 #                      BENCH_batch.json exists and scaling holds
@@ -39,12 +44,13 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test test-full clippy fmt lint modelcheck modelcheck-json figures batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke perf-smoke
+.PHONY: verify build test test-full clippy fmt doc lint modelcheck modelcheck-json figures batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke perf-smoke
 
 verify: build test lint fmt batch-smoke trace-smoke service-smoke recover-smoke fp8-smoke
 
 build:
 	$(CARGO) build --release
+	$(CARGO) check --workspace --benches
 
 test:
 	$(CARGO) test -q --workspace
@@ -58,7 +64,10 @@ clippy:
 fmt:
 	$(CARGO) fmt --all -- --check
 
-lint: modelcheck clippy
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
+
+lint: modelcheck clippy doc
 
 modelcheck:
 	$(CARGO) run -q -p modelcheck

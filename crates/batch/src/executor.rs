@@ -729,7 +729,7 @@ mod tests {
         assert_eq!(outcome.report.jobs[0].events.events(), expected.events());
         assert_ne!(
             expected.events(),
-            model.synthetic_events(shape).events(),
+            model.synthetic_events_format(shape, Format::Fp16).events(),
             "FP8 must change the synthetic trace, or this test is vacuous"
         );
     }

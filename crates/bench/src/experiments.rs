@@ -1692,7 +1692,11 @@ pub fn service_saturation(smoke: bool) -> Result<ServiceSaturation, EngineError>
     let mean_est: u64 = {
         let total: u64 = shapes
             .iter()
-            .map(|&(m, n, k)| functional.estimated_cycles(GemmShape::new(m, n, k)).count())
+            .map(|&(m, n, k)| {
+                functional
+                    .estimated_cycles_format(GemmShape::new(m, n, k), Format::Fp16)
+                    .count()
+            })
             .sum();
         total / shapes.len() as u64
     };
@@ -1725,7 +1729,9 @@ pub fn service_saturation(smoke: bool) -> Result<ServiceSaturation, EngineError>
                 if i % 4 == 1 {
                     // A quarter of the traffic is deadline-constrained,
                     // feasible when lightly loaded.
-                    let est = functional.estimated_cycles(shape).count();
+                    let est = functional
+                        .estimated_cycles_format(shape, Format::Fp16)
+                        .count();
                     sub = sub.clone().with_deadline_cycle(sub.arrival_cycle + est * 3);
                 }
                 sub
@@ -2364,8 +2370,12 @@ fn recovery_script(functional: &FunctionalGemm) -> (ServiceConfig, Vec<Submissio
         .with_tenant(TenantConfig::new(7).with_priority(5));
     let long = GemmShape::new(12, 8, 12);
     let short = GemmShape::new(2, 2, 2);
-    let est = functional.estimated_cycles(long).count();
-    let short_est = functional.estimated_cycles(short).count();
+    let est = functional
+        .estimated_cycles_format(long, Format::Fp16)
+        .count();
+    let short_est = functional
+        .estimated_cycles_format(short, Format::Fp16)
+        .count();
     let strikes = vec![
         (
             est / 5,

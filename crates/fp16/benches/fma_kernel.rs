@@ -1,19 +1,16 @@
-//! Micro-benchmark: scalar `fma` fold vs the batched kernel's `fma_acc`
-//! path on the same reduction rows.
+//! Micro-benchmark: scalar `fma` fold vs the batched kernel's
+//! `fma_row_staged` path on the same reduction rows.
 //!
 //! ```text
 //! cargo bench -p redmule-fp16 --bench fma_kernel
 //! ```
 //!
-//! Four variants over identical data, plus one on gradient-like data:
+//! Two variants over identical data, plus one on gradient-like data:
 //! * `scalar_fma` — one `arith::fma` call per step, classify + re-pack
 //!   every time (what `FunctionalGemm` did before the batched kernel);
-//! * `fma_acc` — pre-classified operands, accumulator kept unpacked
-//!   between the per-step roundings;
-//! * `fma_row_x16` — the GEMM inner-loop shape: one X operand broadcast
-//!   against a 16-wide panel of accumulators;
-//! * `fma_row_staged_x16` — the same shape through the structure-of-arrays
-//!   vector kernel `FunctionalGemm` actually runs;
+//! * `fma_row_staged_x16` — the GEMM inner-loop shape, one X operand
+//!   broadcast against a 16-wide panel of accumulators, through the
+//!   structure-of-arrays vector kernel `FunctionalGemm` runs;
 //! * `fma_row_staged_x16_gradient` — the staged kernel on operands shaped
 //!   like an autoencoder training step's backward pass: X is a gradient
 //!   row about 21% subnormal plus zeros, W an activation row with ReLU
@@ -22,8 +19,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{dot_acc, fma_row, fma_row_staged, Acc, Operand, Staged};
-use redmule_fp16::{Round, F16};
+use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
+use redmule_fp16::Round;
 
 const N: usize = 4096;
 
@@ -66,9 +63,6 @@ fn gradient_rows() -> (Vec<u16>, Vec<u16>) {
 
 fn bench_fma(c: &mut Criterion) {
     let (xs, ws) = rows();
-    let xo: Vec<Operand> = xs.iter().map(|&v| Operand::from_bits(v)).collect();
-    let wo: Vec<Operand> = ws.iter().map(|&v| Operand::from_bits(v)).collect();
-    let xf: Vec<F16> = xs.iter().map(|&v| F16::from_bits(v)).collect();
 
     let mut g = c.benchmark_group("fma4096");
     g.bench_function("scalar_fma", |b| {
@@ -80,28 +74,10 @@ fn bench_fma(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.bench_function("fma_acc", |b| {
-        b.iter(|| black_box(dot_acc(&xo, &wo, Acc::ZERO, Round::NearestEven).to_bits()))
-    });
-    g.bench_function("fma_row_x16", |b| {
-        // 4096 steps spread over a 16-wide accumulator panel, matching the
-        // paper instance's phase width: 256 row steps of 16 lanes.
-        b.iter(|| {
-            let mut acc = [Acc::ZERO; 16];
-            for (chunk, &a) in wo.chunks_exact(16).zip(xf.iter().step_by(16)) {
-                fma_row(
-                    Operand::from_bits(a.to_bits()),
-                    chunk,
-                    &mut acc,
-                    Round::NearestEven,
-                );
-            }
-            black_box(acc[0].to_bits())
-        })
-    });
     g.bench_function("fma_row_staged_x16", |b| {
-        // Same 256 x 16 walk through the SoA vector kernel: one staged X
-        // row of 256 elements against a staged 256 x 16 W panel.
+        // 4096 steps spread over a 16-wide accumulator panel, matching the
+        // paper instance's phase width: one staged X row of 256 elements
+        // against a staged 256 x 16 W panel, 256 row steps of 16 lanes.
         let xst = Staged::from_bits_iter(xs.iter().step_by(16).copied());
         let wst = Staged::from_bits_iter(ws.iter().copied());
         b.iter(|| {

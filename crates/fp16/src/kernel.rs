@@ -9,22 +9,19 @@
 //! each FMA's output straight into the next one's addend. This module
 //! exploits that structure while preserving the result bits exactly:
 //!
-//! * [`Operand`] classifies an input **once**; rows of pre-classified
-//!   operands are built with [`Operand::classify_slice`] and reused freely.
+//! * [`Staged`] widens every element of an operand matrix to `f64`
+//!   **once**, keeping the packed encodings beside the values.
 //! * [`Acc`] keeps the running accumulator in `f64` form between FMA
 //!   steps. Every step still performs the mandatory FP16 round — rounding
-//!   order is the contract — but the pack-to-bits / classify-from-bits
+//!   order is the contract — but the pack-to-bits / unpack-from-bits
 //!   round trip between steps is gone.
-//! * [`fma_acc`] dispatches on one combined tag test: the all-finite
-//!   round-to-nearest-even common case runs a short branch-free hardware
-//!   path, everything else (special values, directed rounding modes)
-//!   falls back to the scalar softfloat `fma` on the packed encodings.
-//! * [`fma_row_staged`] runs the same step over a row of accumulators in
+//! * [`fma_row_staged`] runs one step over a row of accumulators in
 //!   32-lane vector chunks, in two tiers: a chunk whose results are all
 //!   binary16 normals takes the cheapest pack; a chunk that also has zero
 //!   or subnormal results is retried with a pass that rounds those too.
 //!   Only a chunk with an infinity, NaN or overflowing lane, or a directed
-//!   rounding mode, is redone on the scalar path.
+//!   rounding mode, is redone by the scalar softfloat `fma` on the packed
+//!   encodings that [`Staged`] keeps.
 //!
 //! # Why hardware `f64` is bit-exact here
 //!
@@ -53,32 +50,21 @@
 //!   the IEEE signed zero — `+0` for an exact cancellation, `t`'s sign for
 //!   an exact-zero sum of zeros or a tiny result that rounds away.
 //!
-//! The claim is not taken on faith: every `fma_acc` and every accepted
-//! vector lane in a debug build re-checks itself against `arith::fma`,
-//! and the release kernel is locked by the frozen FMA vectors, an
-//! exhaustive-pairs differential sweep through both `fma_acc` and
-//! `fma_row_staged`, and a class-aware proptest.
+//! The claim is not taken on faith: every accepted vector lane in a debug
+//! build re-checks itself against `arith::fma`, and the release kernel is
+//! locked by the frozen FMA vectors, an exhaustive-pairs differential
+//! sweep and a class-aware proptest, all through `fma_row_staged`.
 //!
-//! The equivalence contract:
+//! The equivalence contract, per lane `j`:
 //!
 //! ```text
-//! fma_acc(classify(a), classify(b), Acc::from_bits(c)).to_bits()
-//!     == arith::fma(a, b, c)          for all a, b, c, and every mode
+//! fma_row_staged(x, xi, w, w0, acc, mode);  acc[j].to_bits()
+//!     == arith::fma(x[xi], w[w0 + j], acc[j] before, mode)
+//!                                 for all operands, and every mode
 //! ```
 
 use crate::arith::from_f64;
 use crate::round::Round;
-
-/// Tag ordering chosen so `Finite` is 0: the hot-path test for "both
-/// multiplicands finite and non-zero" is a single `|` of the tags against
-/// zero. (The accumulator needs no tag at all: IEEE `f64` arithmetic
-/// propagates its infinities and NaNs exactly as the scalar FMA rules
-/// require once the multiplicands are known finite, and the fast path's
-/// exponent-range check routes every such result to the conversion tail.)
-const TAG_FINITE: u8 = 0;
-const TAG_ZERO: u8 = 1;
-const TAG_INF: u8 = 2;
-const TAG_NAN: u8 = 3;
 
 /// Exact widening of a binary16 bit pattern to `f64`.
 ///
@@ -138,63 +124,15 @@ fn narrow(v: f64) -> u16 {
     sign | (mag.to_bits() >> 13) as u16
 }
 
-/// An FP16 input pre-classified for repeated use as an FMA multiplicand.
-///
-/// Classify once with [`Operand::from_bits`] (or a whole row with
-/// [`Operand::classify_slice`]), then feed the copy to as many
-/// [`fma_acc`] / [`fma_row`] steps as the schedule needs.
-// modelcheck-allow: RM-FP-001 -- the f64 field is the exact (lossless)
-// widening of a binary16 value; see the module docs for the bit-exactness
-// argument and the differential locks.
-#[derive(Debug, Clone, Copy)]
-pub struct Operand {
-    /// Exact `f64` widening of the value.
-    v: f64,
-    /// Original packed encoding, for the scalar fallback path.
-    bits: u16,
-    tag: u8,
-}
-
-impl Operand {
-    /// Classifies a raw binary16 bit pattern.
-    #[inline]
-    pub fn from_bits(bits: u16) -> Operand {
-        let tag = if bits & 0x7C00 == 0x7C00 {
-            if bits & 0x3FF != 0 {
-                TAG_NAN
-            } else {
-                TAG_INF
-            }
-        } else if bits & 0x7FFF == 0 {
-            TAG_ZERO
-        } else {
-            TAG_FINITE
-        };
-        Operand {
-            v: widen(bits),
-            bits,
-            tag,
-        }
-    }
-
-    /// Classifies a whole row of values in one pass.
-    pub fn classify_slice(row: &[crate::F16]) -> Vec<Operand> {
-        row.iter()
-            .map(|v| Operand::from_bits(v.to_bits()))
-            .collect()
-    }
-}
-
 /// A running FMA accumulator held as the exact `f64` widening of a
 /// binary16 value.
 ///
 /// The value is always exactly one representable binary16 (or its
 /// infinity / NaN) — the kernel rounds on every step, identically to the
 /// scalar path — only the *encoding* work between steps is skipped. The
-/// accumulator carries no class tag: with both multiplicands known finite
-/// and non-zero, IEEE `f64` arithmetic propagates an infinite or NaN
-/// accumulator exactly as the scalar FMA rules require, and every such
-/// result lands in the fast path's out-of-range conversion tail.
+/// accumulator carries no class tag: an infinite or NaN accumulator gives
+/// its lane's sum the all-ones `f64` exponent, which sends the lane's
+/// chunk to the scalar path.
 // modelcheck-allow: RM-FP-001 -- the f64 field always holds an exactly
 // binary16-representable value (or inf/NaN); see the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -229,41 +167,6 @@ impl Acc {
         );
         out
     }
-}
-
-/// One fused multiply-add step on pre-classified operands:
-/// `a * b + acc`, rounded once under `mode`, result kept unpacked.
-///
-/// Bit-for-bit equivalent to `arith::fma(a, b, acc, mode)` on the packed
-/// encodings — same single rounding, same NaN canonicalisation, same IEEE
-/// zero- and infinity-sign rules. Debug builds assert exactly that on
-/// every single call.
-#[inline(always)]
-pub fn fma_acc(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
-    let out = if a.tag | b.tag == TAG_FINITE && matches!(mode, Round::NearestEven) {
-        // Finite-multiplicand RNE fast path. `a.v * b.v` is exact (22-bit
-        // product, never zero/inf/NaN), the addition is the single
-        // hardware rounding of the exact sum. An infinite or NaN
-        // accumulator propagates through the addition per IEEE rules —
-        // identical to the scalar FMA's special-value rules here — and
-        // surfaces as an out-of-range exponent handled by the cold tail.
-        let t = a.v * b.v + acc.v;
-        match round_lane::<true>(t) {
-            (v, true) => Acc { v },
-            _ => round_out_of_range(t),
-        }
-    } else {
-        fma_acc_slow(a, b, acc, mode)
-    };
-    debug_assert_eq!(
-        out.to_bits(),
-        crate::arith::fma(a.bits, b.bits, acc.to_bits(), mode),
-        "fma_acc drifted from scalar fma: a={:#06x} b={:#06x} c={:#06x} mode={mode:?}",
-        a.bits,
-        b.bits,
-        acc.to_bits(),
-    );
-    out
 }
 
 /// Rounds one step's `f64` sum `t = a*b + acc` to binary16 under
@@ -323,51 +226,14 @@ fn round_lane<const SUBNORMAL: bool>(t: f64) -> (f64, bool) {
     (f64::from_bits(out), ok)
 }
 
-/// Cold tail of the fast path: the sum `t` overflows binary16 (before or
-/// after rounding), or the accumulator carried in an infinity / NaN that
-/// the hardware addition propagated. Zero and subnormal results never get
-/// here — [`round_lane`] packs them exactly. `from_f64` produces the
-/// signed infinity or canonical NaN.
-// modelcheck-allow: RM-FP-001 -- re-uses the trusted f64-to-binary16
-// conversion for the rare out-of-range results.
-#[cold]
-fn round_out_of_range(t: f64) -> Acc {
-    Acc::from_bits(from_f64(t, Round::NearestEven))
-}
-
-/// Fallback for special values and directed rounding modes: one scalar
-/// softfloat `fma` on the packed encodings. This is the exact pre-kernel
-/// code path, so every NaN / infinity / signed-zero rule and every
-/// rounding mode agrees by construction.
-#[cold]
-fn fma_acc_slow(a: Operand, b: Operand, acc: Acc, mode: Round) -> Acc {
-    Acc::from_bits(crate::arith::fma(a.bits, b.bits, acc.to_bits(), mode))
-}
-
-/// One reduction step for a whole row of accumulators:
-/// `acc[j] = a * w[j] + acc[j]` for every `j`.
-///
-/// This is the GEMM inner loop shape: one X element (classified once) is
-/// broadcast against a contiguous row of pre-classified W operands. The
-/// per-element FMA order of each accumulator chain is untouched — the row
-/// form only reorders *between* independent output elements.
-#[inline]
-pub fn fma_row(a: Operand, w: &[Operand], acc: &mut [Acc], mode: Round) {
-    debug_assert_eq!(w.len(), acc.len());
-    for (acc, &b) in acc.iter_mut().zip(w.iter()) {
-        *acc = fma_acc(a, b, *acc, mode);
-    }
-}
-
 /// An operand matrix staged in structure-of-arrays form: the exact `f64`
 /// widening of every element for the vector fast path, plus the original
 /// packed encodings for the scalar fallback.
 ///
 /// Built once per matrix with [`Staged::from_bits_iter`]; consumed by
 /// [`fma_row_staged`], which reads a contiguous row slice per reduction
-/// step. Unlike [`Operand`] rows, the value lane is a flat `f64` array —
-/// stride 8, no tags interleaved — which is what lets the compiler
-/// vectorise the row kernel.
+/// step. The value lane is a flat `f64` array — stride 8, no tags
+/// interleaved — which is what lets the compiler vectorise the row kernel.
 // modelcheck-allow: RM-FP-001 -- the f64 lane holds exact (lossless)
 // widenings of the binary16 elements; see the module docs for the
 // bit-exactness argument and the differential locks.
@@ -400,8 +266,7 @@ impl Staged {
 
 /// One broadcast reduction step over a whole row of accumulators with
 /// staged operands: `acc[j] = x[xi] * w[w0 + j] + acc[j]`, each lane
-/// rounded once under `mode` — bit-for-bit `arith::fma` per lane, exactly
-/// like [`fma_row`].
+/// rounded once under `mode` — bit-for-bit `arith::fma` per lane.
 ///
 /// The round-to-nearest-even common case runs a branchless vector kernel
 /// over the flat `f64` lanes, one chunk of at most 32 lanes at a time, in
@@ -410,7 +275,7 @@ impl Staged {
 /// also rounds zero and subnormal results. A chunk the second tier rejects
 /// too — an overflowing lane, or any special operand or accumulator,
 /// since infinities and NaNs surface as an all-ones `f64` exponent in the
-/// sum — is rolled back and redone on the scalar [`fma_acc`] path over the
+/// sum — is rolled back and redone by the scalar `arith::fma` on the
 /// packed encodings; the rest of the row stays on the vector path.
 /// Directed rounding modes take the scalar path for the whole row.
 #[inline]
@@ -434,14 +299,14 @@ pub fn fma_row_staged(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [A
     }
 }
 
-/// Scalar redo of a (sub)row on the packed encodings: the pre-kernel code
-/// path, handling every special value and rounding mode.
+/// Scalar redo of a (sub)row: one softfloat `arith::fma` per lane on the
+/// packed encodings, handling every special value and rounding mode.
 #[cold]
 fn fma_row_slow(x: &Staged, xi: usize, w: &Staged, w0: usize, acc: &mut [Acc], mode: Round) {
-    let a = Operand::from_bits(x.bits[xi]);
+    let a = x.bits[xi];
     let wb = &w.bits[w0..w0 + acc.len()];
     for (c, &b) in acc.iter_mut().zip(wb.iter()) {
-        *c = fma_acc(a, Operand::from_bits(b), *c, mode);
+        *c = Acc::from_bits(crate::arith::fma(a, b, c.to_bits(), mode));
     }
 }
 
@@ -531,32 +396,19 @@ fn fma_chunk_portable<const SUBNORMAL: bool>(a: f64, w: &[f64], acc: &mut [Acc])
     ok
 }
 
-/// Full dot-product fold: `init + sum_i x[i] * w[i]`, accumulating through
-/// one FP16 rounding per step in index order — exactly
-/// `fold(fma)` on the packed encodings.
-pub fn dot_acc(x: &[Operand], w: &[Operand], init: Acc, mode: Round) -> Acc {
-    debug_assert_eq!(x.len(), w.len());
-    let mut acc = init;
-    for (&a, &b) in x.iter().zip(w.iter()) {
-        acc = fma_acc(a, b, acc, mode);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arith::fma;
     use crate::{CANONICAL_QNAN, F16};
 
+    /// One `fma_row_staged` step on a one-lane row.
     fn step(a: u16, b: u16, c: u16, mode: Round) -> u16 {
-        fma_acc(
-            Operand::from_bits(a),
-            Operand::from_bits(b),
-            Acc::from_bits(c),
-            mode,
-        )
-        .to_bits()
+        let x = Staged::from_bits_iter(std::iter::once(a));
+        let w = Staged::from_bits_iter(std::iter::once(b));
+        let mut acc = [Acc::from_bits(c)];
+        fma_row_staged(&x, 0, &w, 0, &mut acc, mode);
+        acc[0].to_bits()
     }
 
     #[test]
@@ -600,10 +452,14 @@ mod tests {
         let ws: Vec<u16> = (0..64u16)
             .map(|i| (0xBC00 + (i * 91) % 512) ^ ((i & 1) << 15))
             .collect();
+        let x = Staged::from_bits_iter(xs.iter().copied());
+        let w = Staged::from_bits_iter(ws.iter().copied());
         for mode in Round::ALL {
-            let xo: Vec<Operand> = xs.iter().map(|&v| Operand::from_bits(v)).collect();
-            let wo: Vec<Operand> = ws.iter().map(|&v| Operand::from_bits(v)).collect();
-            let fast = dot_acc(&xo, &wo, Acc::ZERO, mode).to_bits();
+            let mut acc = [Acc::ZERO];
+            for l in 0..xs.len() {
+                fma_row_staged(&x, l, &w, l, &mut acc, mode);
+            }
+            let fast = acc[0].to_bits();
             let mut slow = 0u16;
             for (&a, &b) in xs.iter().zip(ws.iter()) {
                 slow = fma(a, b, slow, mode);
@@ -750,22 +606,5 @@ mod tests {
         let restored: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
         let original: Vec<u16> = ys.iter().map(|a| a.to_bits()).collect();
         assert_eq!(restored, original);
-    }
-
-    #[test]
-    fn fma_row_applies_one_step_per_column() {
-        let a = Operand::from_bits(0x4000); // 2.0
-        let w: Vec<Operand> = [0x3C00u16, 0xBC00, 0x0000, 0x7C00]
-            .iter()
-            .map(|&v| Operand::from_bits(v))
-            .collect();
-        let mut acc = vec![Acc::from_bits(0x3800); 4]; // 0.5
-        fma_row(a, &w, &mut acc, Round::NearestEven);
-        let got: Vec<u16> = acc.iter().map(|a| a.to_bits()).collect();
-        let want: Vec<u16> = [0x3C00u16, 0xBC00, 0x0000, 0x7C00]
-            .iter()
-            .map(|&b| fma(0x4000, b, 0x3800, Round::NearestEven))
-            .collect();
-        assert_eq!(got, want);
     }
 }

@@ -1,33 +1,37 @@
 //! Differential lock of the batched kernel against the scalar `fma`.
 //!
-//! [`fma_acc`] and [`fma_row_staged`] must be bit-for-bit equivalent to
-//! `arith::fma` on the packed encodings — every rounding mode, every
+//! [`fma_row_staged`] must be bit-for-bit equivalent to `arith::fma` on
+//! the packed encodings, lane by lane — every rounding mode, every
 //! special-value combination. Four locks:
 //!
 //! 1. the 200 frozen FMA vectors (`tests/vectors/fma.txt`) replayed through
 //!    the kernel — the same ground truth that pins the scalar path;
 //! 2. an exhaustive-pairs sweep: **every** one of the 65 536 bit patterns
 //!    in one operand slot against a class-covering set in the other two
-//!    slots, rotated through all three positions;
+//!    slots, rotated through all three positions; the W and Y sweeps run
+//!    as 65 536-lane rows, so they also walk every chunk boundary;
 //! 3. a dense pseudo-random soak across all five rounding modes;
 //! 4. the staged vector tiers `FunctionalGemm` runs: every X pattern
 //!    broadcast through `fma_row_staged` against a row of probe-class W
 //!    lanes and signed-zero, subnormal and normal Y initialisers.
 
 use redmule_fp16::arith::fma;
-use redmule_fp16::kernel::{fma_acc, fma_row_staged, Acc, Operand, Staged};
+use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
 use redmule_fp16::Round;
 
 const VECTORS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/vectors/fma.txt");
 
-fn step(a: u16, b: u16, c: u16, mode: Round) -> u16 {
-    fma_acc(
-        Operand::from_bits(a),
-        Operand::from_bits(b),
-        Acc::from_bits(c),
-        mode,
-    )
-    .to_bits()
+/// Every binary16 bit pattern, staged once: element `p` is pattern `p`.
+fn every_pattern() -> Staged {
+    Staged::from_bits_iter(0..=0xFFFF)
+}
+
+/// One `fma_row_staged` step on a one-lane row, with both multiplicands
+/// taken from [`every_pattern`].
+fn step(every: &Staged, a: u16, b: u16, c: u16, mode: Round) -> u16 {
+    let mut acc = [Acc::from_bits(c)];
+    fma_row_staged(every, usize::from(a), every, usize::from(b), &mut acc, mode);
+    acc[0].to_bits()
 }
 
 fn parse_mode(s: &str) -> Option<Round> {
@@ -45,6 +49,7 @@ fn parse_mode(s: &str) -> Option<Round> {
 #[test]
 fn kernel_matches_frozen_fma_vectors() {
     let text = std::fs::read_to_string(VECTORS_PATH).expect("frozen vector file");
+    let every = every_pattern();
     let mut checked = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
@@ -58,9 +63,9 @@ fn kernel_matches_frozen_fma_vectors() {
         let mode = parse_mode(fields[3]).expect("mode field");
         let expected = parse(fields[4]);
         assert_eq!(
-            step(a, b, c, mode),
+            step(&every, a, b, c, mode),
             expected,
-            "line {}: fma_acc({a:#06x}, {b:#06x}, {c:#06x}, {mode:?})",
+            "line {}: fma_row_staged({a:#06x}, {b:#06x}, {c:#06x}, {mode:?})",
             lineno + 1
         );
         checked += 1;
@@ -90,27 +95,54 @@ fn probes() -> [u16; 14] {
 /// Lock 2: exhaustive pairs. All 2^16 bit patterns sweep through each
 /// operand position in turn, against every (probe, probe) pair in the
 /// other two slots — ~38M FMA comparisons under RNE.
+///
+/// The X slot is the kernel's broadcast operand, so its sweep runs each
+/// pattern once against a row holding every (probe, probe) pair. The W
+/// and Y sweeps stage all 65 536 patterns as one row per pair.
 #[test]
 fn kernel_matches_fma_exhaustively_per_slot() {
     let probes = probes();
     let mode = Round::NearestEven;
-    for sweep in (0u32..=0xFFFF).map(|v| v as u16) {
-        for &p in &probes {
-            for &q in &probes {
+    let every = every_pattern();
+    let pairs: Vec<(u16, u16)> = probes
+        .iter()
+        .flat_map(|&p| probes.iter().map(move |&q| (p, q)))
+        .collect();
+    let pair_ws = Staged::from_bits_iter(pairs.iter().map(|&(p, _)| p));
+    let pair_ys: Vec<Acc> = pairs.iter().map(|&(_, q)| Acc::from_bits(q)).collect();
+    for a in 0..=0xFFFFu16 {
+        let mut acc = pair_ys.clone();
+        fma_row_staged(&every, usize::from(a), &pair_ws, 0, &mut acc, mode);
+        for (&(p, q), z) in pairs.iter().zip(&acc) {
+            assert_eq!(
+                z.to_bits(),
+                fma(a, p, q, mode),
+                "a-slot sweep a={a:#06x} b={p:#06x} c={q:#06x}"
+            );
+        }
+    }
+
+    let xs = Staged::from_bits_iter(probes.iter().copied());
+    let every_y: Vec<Acc> = (0..=0xFFFF).map(Acc::from_bits).collect();
+    for &q in &probes {
+        let q_row = Staged::from_bits_iter(std::iter::repeat_n(q, 0x10000));
+        for (pi, &p) in probes.iter().enumerate() {
+            let mut acc = vec![Acc::from_bits(q); 0x10000];
+            fma_row_staged(&xs, pi, &every, 0, &mut acc, mode);
+            for (b, z) in (0..=0xFFFFu16).zip(&acc) {
                 assert_eq!(
-                    step(sweep, p, q, mode),
-                    fma(sweep, p, q, mode),
-                    "a-slot sweep a={sweep:#06x} b={p:#06x} c={q:#06x}"
+                    z.to_bits(),
+                    fma(p, b, q, mode),
+                    "b-slot sweep a={p:#06x} b={b:#06x} c={q:#06x}"
                 );
+            }
+            let mut acc = every_y.clone();
+            fma_row_staged(&xs, pi, &q_row, 0, &mut acc, mode);
+            for (c, z) in (0..=0xFFFFu16).zip(&acc) {
                 assert_eq!(
-                    step(p, sweep, q, mode),
-                    fma(p, sweep, q, mode),
-                    "b-slot sweep a={p:#06x} b={sweep:#06x} c={q:#06x}"
-                );
-                assert_eq!(
-                    step(p, q, sweep, mode),
-                    fma(p, q, sweep, mode),
-                    "c-slot sweep a={p:#06x} b={q:#06x} c={sweep:#06x}"
+                    z.to_bits(),
+                    fma(p, q, c, mode),
+                    "c-slot sweep a={p:#06x} b={q:#06x} c={c:#06x}"
                 );
             }
         }
@@ -122,6 +154,7 @@ fn kernel_matches_fma_exhaustively_per_slot() {
 /// rounding core, but the equivalence claim is per mode).
 #[test]
 fn kernel_matches_fma_randomly_in_every_mode() {
+    let every = every_pattern();
     let mut state = 0x1234_5678u32;
     let mut next = move || {
         // xorshift32: deterministic, dependency-free.
@@ -137,7 +170,7 @@ fn kernel_matches_fma_randomly_in_every_mode() {
         let c = (next() & 0xFFFF) as u16;
         for mode in Round::ALL {
             assert_eq!(
-                step(a, b, c, mode),
+                step(&every, a, b, c, mode),
                 fma(a, b, c, mode),
                 "a={a:#06x} b={b:#06x} c={c:#06x} mode={mode:?}"
             );

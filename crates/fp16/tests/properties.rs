@@ -253,7 +253,8 @@ proptest! {
     /// The batched kernel's row fold must equal the scalar fold of `fma`
     /// over the same row, in every rounding mode — including rows salted
     /// with NaN/Inf/zero/subnormal operands and special initial
-    /// accumulators.
+    /// accumulators. (The proptest seed derives from the test name, so the
+    /// name stays as it was when the fold ran through `fma_acc`.)
     #[test]
     fn fma_acc_row_fold_matches_scalar_fma_fold(
         xs in prop::collection::vec(any_class_f16(), 0..48),
@@ -263,9 +264,13 @@ proptest! {
     ) {
         let len = xs.len().min(ws.len());
         let (xs, ws) = (&xs[..len], &ws[..len]);
-        let xo: Vec<kernel::Operand> = xs.iter().map(|&v| kernel::Operand::from_bits(v)).collect();
-        let wo: Vec<kernel::Operand> = ws.iter().map(|&v| kernel::Operand::from_bits(v)).collect();
-        let fast = kernel::dot_acc(&xo, &wo, kernel::Acc::from_bits(init), mode).to_bits();
+        let xo = kernel::Staged::from_bits_iter(xs.iter().copied());
+        let wo = kernel::Staged::from_bits_iter(ws.iter().copied());
+        let mut acc = [kernel::Acc::from_bits(init)];
+        for l in 0..len {
+            kernel::fma_row_staged(&xo, l, &wo, l, &mut acc, mode);
+        }
+        let fast = acc[0].to_bits();
         let mut slow = init;
         for (&a, &b) in xs.iter().zip(ws.iter()) {
             slow = arith::fma(a, b, slow, mode);
@@ -280,18 +285,17 @@ proptest! {
         }
     }
 
-    /// Step-level agreement on fully random (possibly special) operands.
+    /// Step-level agreement on fully random (possibly special) operands,
+    /// through a one-lane staged row (name kept for its case seed).
     #[test]
     fn fma_acc_step_matches_fma(
         a in any_class_f16(), b in any_class_f16(), c in any_class_f16(),
         mode in prop::sample::select(Round::ALL.to_vec()),
     ) {
-        let got = kernel::fma_acc(
-            kernel::Operand::from_bits(a),
-            kernel::Operand::from_bits(b),
-            kernel::Acc::from_bits(c),
-            mode,
-        ).to_bits();
-        prop_assert_eq!(got, arith::fma(a, b, c, mode));
+        let x = kernel::Staged::from_bits_iter(std::iter::once(a));
+        let w = kernel::Staged::from_bits_iter(std::iter::once(b));
+        let mut acc = [kernel::Acc::from_bits(c)];
+        kernel::fma_row_staged(&x, 0, &w, 0, &mut acc, mode);
+        prop_assert_eq!(acc[0].to_bits(), arith::fma(a, b, c, mode));
     }
 }

@@ -31,7 +31,7 @@ use redmule_fp16::F16;
 use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::stream::{Handshake, StreamMonitor};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
-use redmule_obs::{Channel, EventLog, Phase, PhaseCycles, TraceEvent, TraceSink};
+use redmule_obs::{Channel, Phase, PhaseCycles, TraceEvent, TraceSink};
 use std::cell::Cell;
 use std::fmt;
 
@@ -347,31 +347,6 @@ impl Engine {
             session.tick(mem, hci, &[])?;
         }
         Ok(session.finish())
-    }
-
-    /// Like [`Engine::run`], but records the typed trace-event stream
-    /// (see [`TraceEvent`]) alongside the report. For custom sinks (ring
-    /// buffers, counters) use [`EngineSession::attach_sink`] directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run`].
-    pub fn run_logged(
-        &self,
-        job: Job,
-        mem: &mut Tcdm,
-        hci: &mut Hci,
-    ) -> Result<(RunReport, EventLog), EngineError> {
-        let mut session = self.start(job)?;
-        session.attach_sink(Box::new(EventLog::new()));
-        while !session.is_finished() {
-            session.tick(mem, hci, &[])?;
-        }
-        let events = session
-            .detach_sink()
-            .and_then(EventLog::from_sink)
-            .unwrap_or_default();
-        Ok((session.finish(), events))
     }
 
     /// Starts a job as a steppable [`EngineSession`] for co-simulation with
@@ -783,7 +758,8 @@ impl EngineSession {
     }
 
     /// Detaches and returns the current sink, if any. Use
-    /// [`EventLog::from_sink`] to recover a concrete event log.
+    /// [`redmule_obs::EventLog::from_sink`] to recover a concrete event
+    /// log.
     pub fn detach_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.sink.take()
     }

@@ -18,10 +18,9 @@
 //! folds its reduction through `redmule_fp16::kernel::fma_row_staged` —
 //! the per-element FMA order (the bit-exactness contract) is untouched;
 //! only work *between* independent output elements is restructured for
-//! speed and vectorisation. The plan exposes
-//! pure per-tile ([`FunctionalPlan::compute_tile`]) and per-band
-//! ([`FunctionalPlan::compute_band_into`]) entry points so hosts can
-//! partition a job across threads with deterministic writeback.
+//! speed and vectorisation. The plan's one compute entry point,
+//! [`FunctionalPlan::compute_band_into`], is pure per L-row band, so hosts
+//! can partition a job across threads with deterministic writeback.
 //!
 //! Bit-exactness with the cycle model is a hard invariant, enforced by
 //! the differential conformance harness (`tests/conformance.rs` at the
@@ -85,12 +84,12 @@ pub struct FunctionalRun {
 ///
 /// ```
 /// use redmule::{Accelerator, FunctionalGemm};
-/// use redmule_fp16::{vector::GemmShape, F16};
+/// use redmule_fp16::{vector::GemmShape, Format, F16};
 ///
 /// let shape = GemmShape::new(5, 11, 7);
 /// let x: Vec<F16> = (0..shape.x_len()).map(|i| F16::from_f32(i as f32 / 8.0)).collect();
 /// let w: Vec<F16> = (0..shape.w_len()).map(|i| F16::from_f32(0.5 - i as f32 / 64.0)).collect();
-/// let fast = FunctionalGemm::paper_instance().run(shape, &x, &w)?;
+/// let fast = FunctionalGemm::paper_instance().run_format(shape, Format::Fp16, &x, &w)?;
 /// let slow = Accelerator::paper_instance().gemm(shape, &x, &w)?;
 /// assert_eq!(
 ///     fast.z.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -119,37 +118,6 @@ impl FunctionalGemm {
     /// The modelled instance parameters.
     pub fn config(&self) -> &AccelConfig {
         &self.cfg
-    }
-
-    /// Computes `Z = X * W`.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape`.
-    pub fn run(
-        &self,
-        shape: GemmShape,
-        x: &[F16],
-        w: &[F16],
-    ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, Format::Fp16, x, w, None)
-    }
-
-    /// Computes `Z = X * W + Y` (accumulate mode).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShapeMismatch`] when an operand slice length does
-    /// not match `shape` (`Y` must be `m x k`).
-    pub fn run_accumulate(
-        &self,
-        shape: GemmShape,
-        x: &[F16],
-        w: &[F16],
-        y: &[F16],
-    ) -> Result<FunctionalRun, EngineError> {
-        self.run_inner(shape, Format::Fp16, x, w, Some(y))
     }
 
     /// Computes `Z = X * W` with operands stored in `format`.
@@ -195,10 +163,10 @@ impl FunctionalGemm {
     }
 
     /// Stages a job for execution: casts the operands through the storage
-    /// format and pre-classifies them into the batched kernel's operand
-    /// form, exactly once. The returned [`FunctionalPlan`] computes any
-    /// tile or band of the output independently (and therefore in
-    /// parallel, on the host's initiative) with bit-identical results.
+    /// format and stages them into the batched kernel's
+    /// structure-of-arrays form, exactly once. The returned [`FunctionalPlan`] computes any
+    /// band of the output independently (and therefore in parallel, on
+    /// the host's initiative) with bit-identical results.
     ///
     /// # Errors
     ///
@@ -226,16 +194,15 @@ impl FunctionalGemm {
             shape,
             format,
             l: self.cfg.l,
-            pw: self.cfg.phase_width(),
             xo: Staged::from_bits_iter(x.iter().map(stage)),
             wo: Staged::from_bits_iter(w.iter().map(stage)),
             y: y.map(|y| y.iter().map(|&v| format.quantize(v)).collect()),
         })
     }
 
-    /// Analytical cycle estimate for `shape` on this instance, exact
-    /// against [`crate::Engine::run`] for uncontended fault-free runs
-    /// (pinned by the `cycle_model` regression tests):
+    /// Analytical cycle estimate for `shape` with operands stored in
+    /// `format`, exact against [`crate::Engine::run`] for uncontended
+    /// fault-free runs (pinned by the `cycle_model` regression tests):
     ///
     /// * each tile computes for `tile_len = H*(P+1) + n_phases*pw` cycles
     ///   and W-group prefetch hides every tile-boundary stall, so the
@@ -248,20 +215,15 @@ impl FunctionalGemm {
     /// * empty-reduction jobs (`N == 0`) flush one tile per cycle while
     ///   stores drain in parallel: `max(n_tiles, M * ceil(K/pw))`.
     ///
-    /// The same model backs
-    /// [`crate::EngineSession::estimated_remaining_cycles`].
-    pub fn estimated_cycles(&self, shape: GemmShape) -> Cycle {
-        self.estimated_cycles_format(shape, Format::Fp16)
-    }
-
-    /// Analytical cycle estimate for `shape` with operands stored in
-    /// `format` (see [`FunctionalGemm::estimated_cycles`] for the base
-    /// model). Bandwidth is byte-denominated: with half-width FP8 elements
-    /// the streamer serves two transactions per granted beat, so the fill
-    /// and drain terms — the only memory-bound parts of an uncontended
+    /// Bandwidth is byte-denominated: with half-width FP8 elements the
+    /// streamer serves two transactions per granted beat, so the fill and
+    /// drain terms — the only memory-bound parts of an uncontended
     /// schedule — halve (rounded up) while the compute blocks are
     /// unchanged. FP8 therefore never estimates slower than FP16 on the
     /// same shape.
+    ///
+    /// The same model backs
+    /// [`crate::EngineSession::estimated_remaining_cycles`].
     pub fn estimated_cycles_format(&self, shape: GemmShape, format: Format) -> Cycle {
         let cfg = &self.cfg;
         let beat: u64 = if format.is_fp8() { 2 } else { 1 };
@@ -284,12 +246,6 @@ impl FunctionalGemm {
         // `ceil(rows/beat) - 1`, which degenerates to `rows - 1` for FP16.
         let rows_last = (shape.m - (tiles_m - 1) * cfg.l) as u64;
         Cycle::new(n_tiles * tile_len + fill + rows_last.div_ceil(beat).saturating_sub(1))
-    }
-
-    /// Synthesises a tile-granular trace from the analytical model for
-    /// FP16 storage; see [`FunctionalGemm::synthetic_events_format`].
-    pub fn synthetic_events(&self, shape: GemmShape) -> EventLog {
-        self.synthetic_events_format(shape, Format::Fp16)
     }
 
     /// Synthesises a tile-granular trace from the analytical model: one
@@ -369,21 +325,20 @@ impl FunctionalGemm {
 }
 
 /// A staged functional GEMM: operands cast through the storage format and
-/// pre-classified for the batched kernel, ready to compute any part of
-/// the output independently.
+/// staged for the batched kernel, ready to compute any band of the output
+/// independently.
 ///
-/// Created by [`FunctionalGemm::plan`]. The plan is immutable; every
-/// compute entry point is a pure function of the plan and the requested
-/// region, so hosts may compute disjoint regions concurrently and write
-/// them back in any order with bit-identical results.
+/// Created by [`FunctionalGemm::plan`]. The plan is immutable and
+/// [`FunctionalPlan::compute_band_into`] is a pure function of the plan
+/// and the requested band, so hosts may compute disjoint bands
+/// concurrently and write them back in any order with bit-identical
+/// results.
 #[derive(Debug, Clone)]
 pub struct FunctionalPlan {
     shape: GemmShape,
     format: Format,
     /// Band height (the instance's `L`).
     l: usize,
-    /// Panel width (the instance's `phase_width`).
-    pw: usize,
     /// Cast-in, pre-staged X (`m x n`, row-major, structure-of-arrays).
     xo: Staged,
     /// Cast-in, pre-staged W (`n x k`, row-major, structure-of-arrays).
@@ -404,11 +359,6 @@ impl FunctionalPlan {
         self.shape.m.div_ceil(self.l)
     }
 
-    /// Number of output tiles in the engine's enumeration order.
-    pub fn n_tiles(&self) -> usize {
-        self.n_bands() * self.shape.k.div_ceil(self.pw)
-    }
-
     /// Elements of `Z` covered by one full band (`L * k`); the final band
     /// may be shorter. This is the chunk size for
     /// [`FunctionalPlan::compute_band_into`] writeback partitioning.
@@ -416,41 +366,6 @@ impl FunctionalPlan {
         // A zero-area output has no bands to split; any non-zero stride
         // keeps `chunks_mut` well-formed on the empty `Z`.
         (self.l * self.shape.k).max(1)
-    }
-
-    /// Computes one output tile (engine enumeration order: L-row bands,
-    /// phase-width panels, row-major) and returns its `rows_live x
-    /// cols_live` row-major block. Pure: depends only on the plan and
-    /// `tile_idx`.
-    ///
-    /// Tiles with `tile_idx >= n_tiles()` return an empty block.
-    pub fn compute_tile(&self, tile_idx: usize) -> Vec<F16> {
-        let (k, n) = (self.shape.k, self.shape.n);
-        let tiles_k = k.div_ceil(self.pw);
-        if tiles_k == 0 || tile_idx >= self.n_tiles() {
-            return Vec::new();
-        }
-        let row0 = (tile_idx / tiles_k) * self.l;
-        let k0 = (tile_idx % tiles_k) * self.pw;
-        let rows_live = (self.shape.m - row0).min(self.l);
-        let cols_live = (k - k0).min(self.pw);
-        if n == 0 {
-            return self.passthrough_block(row0, rows_live, k0, cols_live);
-        }
-        let mut accs = self.band_accs(row0, rows_live, k0, cols_live);
-        for l in 0..n {
-            for (r, arow) in accs.chunks_exact_mut(cols_live).enumerate() {
-                fma_row_staged(
-                    &self.xo,
-                    (row0 + r) * n + l,
-                    &self.wo,
-                    l * k + k0,
-                    arow,
-                    Round::NearestEven,
-                );
-            }
-        }
-        accs.iter().map(|a| self.cast_out(*a)).collect()
     }
 
     /// Computes one full band of output tiles straight into `out`, which
@@ -471,11 +386,26 @@ impl FunctionalPlan {
         debug_assert!(row0 < self.shape.m || out.is_empty());
         let rows_live = (self.shape.m.saturating_sub(row0)).min(self.l);
         debug_assert_eq!(out.len(), rows_live * k);
+        if out.is_empty() {
+            return; // a band past the last row, or a zero-width Z
+        }
+        // The band's rows are contiguous in Y as in Z.
+        let y = self.y.as_ref().map(|y| &y[row0 * k..row0 * k + out.len()]);
         if n == 0 {
-            out.copy_from_slice(&self.passthrough_block(row0, rows_live, 0, k));
+            // Zero-step pass-through: no FMA ever fires, so Z is the
+            // cast-in Y (or zero) *bit for bit*. Routing it through the
+            // kernel's widen/narrow round-trip would canonicalize NaN
+            // payloads and signs the datapath preserves.
+            match y {
+                Some(y) => out.copy_from_slice(y),
+                None => out.fill(F16::ZERO),
+            }
             return;
         }
-        let mut accs = self.band_accs(row0, rows_live, 0, k);
+        let mut accs: Vec<Acc> = match y {
+            Some(y) => y.iter().map(|v| Acc::from_bits(v.to_bits())).collect(),
+            None => vec![Acc::ZERO; out.len()],
+        };
         for l in 0..n {
             // One W row serves every live output row of the band; the
             // staged kernel slices it once per call, keeping the vector
@@ -493,42 +423,6 @@ impl FunctionalPlan {
         }
         for (z, acc) in out.iter_mut().zip(accs.iter()) {
             *z = self.cast_out(*acc);
-        }
-    }
-
-    /// Zero-step pass-through for an empty reduction (`N == 0`): no FMA
-    /// ever fires, so `Z` is the cast-in `Y` (or zero) *bit for bit*.
-    /// Routing it through the kernel's widen/narrow round-trip would
-    /// canonicalize NaN payloads and signs the datapath preserves.
-    fn passthrough_block(&self, row0: usize, rows: usize, k0: usize, cols: usize) -> Vec<F16> {
-        let k = self.shape.k;
-        match &self.y {
-            Some(y) => {
-                let mut out = Vec::with_capacity(rows * cols);
-                for r in 0..rows {
-                    let base = (row0 + r) * k + k0;
-                    out.extend_from_slice(&y[base..base + cols]);
-                }
-                out
-            }
-            None => vec![F16::ZERO; rows * cols],
-        }
-    }
-
-    /// Accumulator block for rows `[row0, row0+rows)` x columns
-    /// `[k0, k0+cols)`, initialised from the cast-in `Y` (or zero).
-    fn band_accs(&self, row0: usize, rows: usize, k0: usize, cols: usize) -> Vec<Acc> {
-        let k = self.shape.k;
-        match &self.y {
-            Some(y) => {
-                let mut accs = Vec::with_capacity(rows * cols);
-                for r in 0..rows {
-                    let yrow = &y[(row0 + r) * k + k0..(row0 + r) * k + k0 + cols];
-                    accs.extend(yrow.iter().map(|v| Acc::from_bits(v.to_bits())));
-                }
-                accs
-            }
-            None => vec![Acc::ZERO; rows * cols],
         }
     }
 
@@ -587,7 +481,7 @@ mod tests {
             let shape = GemmShape::new(m, n, k);
             let (x, w) = operands(shape, (m * 1000 + n * 10 + k) as u32);
             let fast = FunctionalGemm::paper_instance()
-                .run(shape, &x, &w)
+                .run_format(shape, Format::Fp16, &x, &w)
                 .expect("functional run");
             let golden = gemm_golden(shape, &x, &w);
             let hw = Accelerator::paper_instance()
@@ -601,31 +495,27 @@ mod tests {
     }
 
     #[test]
-    fn tiles_assemble_to_the_full_result() {
-        // compute_tile is pure and covers the output exactly: stitching
-        // every tile back together reproduces run() bit for bit.
+    fn bands_assemble_to_the_full_result() {
+        // compute_band_into is pure and the bands cover the output
+        // exactly: computing them in reverse order over a NaN-filled Z
+        // reproduces the golden model bit for bit.
         for (m, n, k) in [(8, 16, 16), (5, 11, 7), (20, 24, 20), (3, 0, 5)] {
             let shape = GemmShape::new(m, n, k);
             let (x, w) = operands(shape, 42);
-            let f = FunctionalGemm::paper_instance();
-            let full = f.run(shape, &x, &w).expect("functional run");
-            let plan = f
+            let plan = FunctionalGemm::paper_instance()
                 .plan(shape, Format::Fp16, &x, &w, None)
                 .expect("plan stages");
-            let cfg = f.config();
-            let (pw, tiles_k) = (cfg.phase_width(), k.div_ceil(cfg.phase_width()));
-            let mut stitched = vec![F16::ZERO; shape.z_len()];
-            for t in 0..plan.n_tiles() {
-                let block = plan.compute_tile(t);
-                let row0 = (t / tiles_k) * cfg.l;
-                let k0 = (t % tiles_k) * pw;
-                let cols = (k - k0).min(pw);
-                for (r, brow) in block.chunks(cols).enumerate() {
-                    stitched[(row0 + r) * k + k0..(row0 + r) * k + k0 + cols].copy_from_slice(brow);
-                }
+            let mut z = vec![F16::NAN; shape.z_len()];
+            let bands: Vec<&mut [F16]> = z.chunks_mut(plan.band_stride()).collect();
+            assert_eq!(bands.len(), plan.n_bands(), "at {m}x{n}x{k}");
+            for (band, out) in bands.into_iter().enumerate().rev() {
+                plan.compute_band_into(band, out);
             }
-            assert_eq!(bits(&stitched), bits(&full.z), "at {m}x{n}x{k}");
-            assert!(plan.compute_tile(plan.n_tiles()).is_empty());
+            assert_eq!(
+                bits(&z),
+                bits(&gemm_golden(shape, &x, &w)),
+                "at {m}x{n}x{k}"
+            );
         }
     }
 
@@ -637,7 +527,7 @@ mod tests {
             .map(|i| F16::from_f32((i % 9) as f32 / 4.0 - 1.0))
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run_accumulate(shape, &x, &w, &y)
+            .run_accumulate_format(shape, Format::Fp16, &x, &w, &y)
             .expect("functional accumulate");
         let hw = Accelerator::paper_instance()
             .gemm_accumulate(shape, &x, &w, &y)
@@ -665,7 +555,7 @@ mod tests {
             .map(|i| specials[(i * 5 + 1) % specials.len()])
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run(shape, &x, &w)
+            .run_format(shape, Format::Fp16, &x, &w)
             .expect("functional run");
         let hw = Accelerator::paper_instance()
             .gemm(shape, &x, &w)
@@ -678,7 +568,7 @@ mod tests {
         // N == 0: the output is all zeros (or Y in accumulate mode).
         let shape = GemmShape::new(3, 0, 5);
         let fast = FunctionalGemm::paper_instance()
-            .run(shape, &[], &[])
+            .run_format(shape, Format::Fp16, &[], &[])
             .expect("functional run");
         assert!(fast.z.iter().all(|v| v.to_bits() == 0));
         assert_eq!(fast.macs, 0);
@@ -695,7 +585,7 @@ mod tests {
             .map(|&b| F16::from_bits(b))
             .collect();
         let fast = FunctionalGemm::paper_instance()
-            .run_accumulate(shape, &[], &[], &y)
+            .run_accumulate_format(shape, Format::Fp16, &[], &[], &y)
             .expect("functional run");
         assert_eq!(bits(&fast.z), bits(&y));
     }
@@ -707,15 +597,15 @@ mod tests {
         let good = vec![F16::ONE; 4];
         let f = FunctionalGemm::paper_instance();
         assert!(matches!(
-            f.run(shape, &bad, &good),
+            f.run_format(shape, Format::Fp16, &bad, &good),
             Err(EngineError::ShapeMismatch { operand: "X", .. })
         ));
         assert!(matches!(
-            f.run(shape, &good, &bad),
+            f.run_format(shape, Format::Fp16, &good, &bad),
             Err(EngineError::ShapeMismatch { operand: "W", .. })
         ));
         assert!(matches!(
-            f.run_accumulate(shape, &good, &good, &bad),
+            f.run_accumulate_format(shape, Format::Fp16, &good, &good, &bad),
             Err(EngineError::ShapeMismatch { operand: "Y", .. })
         ));
     }
@@ -727,17 +617,27 @@ mod tests {
         // rows_last - 1 = 7 drain cycles.
         let f = FunctionalGemm::paper_instance();
         let shape = GemmShape::new(8, 16, 16);
-        assert_eq!(f.estimated_cycles(shape).count(), 80 + 4 + 8 + 7);
+        assert_eq!(
+            f.estimated_cycles_format(shape, Format::Fp16).count(),
+            80 + 4 + 8 + 7
+        );
         // Four tiles: the compute blocks scale linearly but fill and drain
         // are paid once per run, not once per tile.
         let quad = GemmShape::new(16, 16, 32);
-        assert_eq!(f.estimated_cycles(quad).count(), 4 * 80 + 4 + 8 + 7);
+        assert_eq!(
+            f.estimated_cycles_format(quad, Format::Fp16).count(),
+            4 * 80 + 4 + 8 + 7
+        );
         // Empty reduction: tiles flush one per cycle against the M-row
         // store drain, whichever dominates.
         let empty = GemmShape::new(16, 0, 32);
-        assert_eq!(f.estimated_cycles(empty).count(), 32);
+        assert_eq!(f.estimated_cycles_format(empty, Format::Fp16).count(), 32);
         // Degenerate empty output.
-        assert_eq!(f.estimated_cycles(GemmShape::new(0, 4, 8)).count(), 0);
+        assert_eq!(
+            f.estimated_cycles_format(GemmShape::new(0, 4, 8), Format::Fp16)
+                .count(),
+            0
+        );
     }
 
     #[test]

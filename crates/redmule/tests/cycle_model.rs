@@ -3,7 +3,7 @@
 //! Pins the three quantitative contracts the observability layer leans
 //! on:
 //!
-//! 1. exactness — [`FunctionalGemm::estimated_cycles`] matches the
+//! 1. exactness — [`FunctionalGemm::estimated_cycles_format`] matches the
 //!    measured [`Engine::run`] cycle count on every uncontended
 //!    fault-free shape (zero drift, not "bounded" drift);
 //! 2. the remaining-cycles estimate is monotonically non-increasing as a
@@ -22,7 +22,7 @@ use redmule::{
 };
 use redmule_cluster::{Hci, Initiator, Tcdm};
 use redmule_fp16::vector::GemmShape;
-use redmule_fp16::F16;
+use redmule_fp16::{Format, F16};
 
 fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
     let gen = |len: usize, s: u32| -> Vec<F16> {
@@ -39,6 +39,26 @@ fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
 fn staged(shape: GemmShape, seed: u32) -> (redmule::Job, Tcdm, Hci) {
     let (x, w) = data(shape, seed);
     stage_gemm_workspace(shape, &x, &w, None).expect("staging")
+}
+
+/// Runs `job` to completion with an [`EventLog`] sink attached to its
+/// session; returns the report and the recorded event stream.
+fn run_traced(
+    engine: &Engine,
+    job: redmule::Job,
+    mem: &mut Tcdm,
+    hci: &mut Hci,
+) -> (RunReport, EventLog) {
+    let mut session = engine.start(job).expect("start");
+    session.attach_sink(Box::new(EventLog::new()));
+    while !session.is_finished() {
+        session.tick(mem, hci, &[]).expect("tick");
+    }
+    let events = session
+        .detach_sink()
+        .and_then(EventLog::from_sink)
+        .expect("the attached EventLog");
+    (session.finish(), events)
 }
 
 /// The shape grid: every model branch — ragged edges on all three
@@ -75,7 +95,7 @@ fn functional_estimate_matches_measured_cycles_exactly() {
     for shape in corpus() {
         let (job, mut mem, mut hci) = staged(shape, 7);
         let report = engine.run(job, &mut mem, &mut hci).expect("run");
-        let estimate = model.estimated_cycles(shape);
+        let estimate = model.estimated_cycles_format(shape, Format::Fp16);
         assert_eq!(
             estimate.count(),
             report.cycles.count(),
@@ -253,12 +273,12 @@ fn phase_attribution_partitions_partial_reports() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn run_logged_emits_a_consistent_event_stream() {
+fn traced_run_emits_a_consistent_event_stream() {
     let engine = Engine::new(AccelConfig::paper());
     let shape = GemmShape::new(16, 16, 32); // 4 output tiles
     let (job, mut mem, mut hci) = staged(shape, 71);
-    let (report, events) = engine.run_logged(job, &mut mem, &mut hci).expect("run");
-    assert_phases_partition(&report, "run_logged");
+    let (report, events) = run_traced(&engine, job, &mut mem, &mut hci);
+    assert_phases_partition(&report, "traced run");
 
     let starts: Vec<u32> = events
         .events()
@@ -323,9 +343,7 @@ fn untraced_sessions_charge_no_observation_state() {
     let (job, mut mem, mut hci) = staged(shape, 81);
     let plain = engine.run(job, &mut mem, &mut hci).expect("plain");
     let (job2, mut mem2, mut hci2) = staged(shape, 81);
-    let (traced, events) = engine
-        .run_logged(job2, &mut mem2, &mut hci2)
-        .expect("traced");
+    let (traced, events) = run_traced(&engine, job2, &mut mem2, &mut hci2);
     assert_eq!(plain.cycles, traced.cycles);
     assert_eq!(plain.macs, traced.macs);
     assert_eq!(plain.phases, traced.phases);

@@ -20,7 +20,7 @@ pub struct ServiceRetry {
 ///
 /// The rate limit is a token bucket denominated in **estimated simulated
 /// cycles**: a submission is charged its analytical cycle estimate
-/// ([`redmule::FunctionalGemm::estimated_cycles`], which is exact for
+/// ([`redmule::FunctionalGemm::estimated_cycles_format`], which is exact for
 /// fault-free jobs) at admission, and the bucket refills at
 /// `refill_per_kilocycle` cycles of credit per 1024 virtual cycles.
 /// All bucket arithmetic is integer and a pure function of the virtual

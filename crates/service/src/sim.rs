@@ -22,7 +22,7 @@ use crate::report::{fnv1a64_f16, ServiceJobRecord, ServiceReport, TenantStats};
 use crate::request::{Rejected, RejectedRecord, ServiceStatus, Submission};
 use redmule::obs::{EventLog, TraceEvent};
 use redmule::{
-    stage_gemm_workspace, AccelConfig, Engine, EngineError, FaultInjector, FunctionalGemm,
+    stage_gemm_workspace, AccelConfig, Engine, EngineError, FaultInjector, Format, FunctionalGemm,
 };
 use redmule_batch::{BatchError, BatchExecutor, GemmJob, JobFaults, JobResult, JobStatus};
 use redmule_runtime::{Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
@@ -846,7 +846,10 @@ impl<'a> Timeline<'a> {
         };
         self.tenants[t_idx].stats.submitted += 1;
         self.tenants[t_idx].refill(self.now);
-        let estimate = self.functional.estimated_cycles(sub.shape).count();
+        let estimate = self
+            .functional
+            .estimated_cycles_format(sub.shape, Format::Fp16)
+            .count();
 
         let over_quota = self.tenants[t_idx].in_flight >= self.tenants[t_idx].cfg.max_in_flight
             || self.tenants[t_idx].tokens < estimate;

@@ -5,7 +5,7 @@
 //! run alone on an idle service.
 
 use proptest::prelude::*;
-use redmule::{AccelConfig, Engine, FaultSite, FunctionalGemm};
+use redmule::{AccelConfig, Engine, FaultSite, Format, FunctionalGemm};
 use redmule_fp16::vector::GemmShape;
 use redmule_service::{ServiceConfig, ServiceSim, ServiceStatus, Submission, TenantConfig};
 
@@ -36,7 +36,7 @@ proptest! {
     ) {
         let shape = GemmShape::new(m, n, k);
         let est = FunctionalGemm::new(small_cfg())
-            .estimated_cycles(shape)
+            .estimated_cycles_format(shape, Format::Fp16)
             .count();
         let strikes: Vec<(u64, FaultSite)> = (0..strike_count)
             .map(|j| {
@@ -71,7 +71,7 @@ proptest! {
             .with_tenant(TenantConfig::new(7).with_priority(5));
         let short = GemmShape::new(1, 1, 2);
         let short_est = FunctionalGemm::new(small_cfg())
-            .estimated_cycles(short)
+            .estimated_cycles_format(short, Format::Fp16)
             .count();
         let mut script = vec![victim.clone()];
         for i in 0..interrupts {

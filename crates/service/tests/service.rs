@@ -1,7 +1,7 @@
 //! End-to-end service behaviour: admission, scheduling, shedding,
 //! worker-count invariance and the overload soak.
 
-use redmule::{AccelConfig, Engine, FaultSite, FunctionalGemm};
+use redmule::{AccelConfig, Engine, FaultSite, Format, FunctionalGemm};
 use redmule_fp16::vector::GemmShape;
 use redmule_service::{
     Rejected, ServiceConfig, ServiceJobRecord, ServiceReport, ServiceRetry, ServiceSim,
@@ -20,7 +20,7 @@ fn sim(config: ServiceConfig) -> ServiceSim {
 
 fn estimate(shape: GemmShape) -> u64 {
     FunctionalGemm::new(small_cfg())
-        .estimated_cycles(shape)
+        .estimated_cycles_format(shape, Format::Fp16)
         .count()
 }
 

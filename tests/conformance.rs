@@ -101,7 +101,7 @@ fn run_case(c: Case) -> Result<(), String> {
     let w = matrix(shape.w_len(), c.seed ^ 0x5A5A_5A5A_5A5A_5A5A);
 
     let func = FunctionalGemm::paper_instance()
-        .run(shape, &x, &w)
+        .run_format(shape, Format::Fp16, &x, &w)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
         .gemm(shape, &x, &w)
@@ -124,7 +124,7 @@ fn run_accumulate_case(c: Case) -> Result<(), String> {
     let y = matrix(shape.z_len(), c.seed ^ 0x3C3C_3C3C_3C3C_3C3C);
 
     let func = FunctionalGemm::paper_instance()
-        .run_accumulate(shape, &x, &w, &y)
+        .run_accumulate_format(shape, Format::Fp16, &x, &w, &y)
         .map_err(|e| format!("functional backend error: {e}"))?;
     let hw = Accelerator::paper_instance()
         .gemm_accumulate(shape, &x, &w, &y)
@@ -388,7 +388,7 @@ fn all_special_value_matrices_agree() {
         let x: Vec<F16> = (0..shape.x_len()).map(|i| fill(i)).collect();
         let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
         let func = FunctionalGemm::paper_instance()
-            .run(shape, &x, &w)
+            .run_format(shape, Format::Fp16, &x, &w)
             .expect("functional");
         let hw = Accelerator::paper_instance()
             .gemm(shape, &x, &w)
