@@ -1,8 +1,9 @@
 # Convenience targets for the RedMulE reproduction.
 #
 #   make verify      — tier-1 gate plus the full workspace suite, a
-#                      warning-free clippy pass, a formatting check, the
-#                      modelcheck static analyzer and the batch-bench
+#                      warning-free clippy pass over every target (tests,
+#                      examples and benches included), a formatting check,
+#                      the modelcheck static analyzer and the batch-bench
 #                      smoke gate (what CI runs, see
 #                      .github/workflows/ci.yml)
 #   make test        — fast: workspace tests only
@@ -12,7 +13,7 @@
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)
 #   make build       — release build, plus a compile check of every
-#                      bench target (`cargo test` and clippy skip benches/)
+#                      bench target (`cargo test` skips benches/)
 #   make lint        — static gates only: modelcheck + warning-free
 #                      clippy + warning-free rustdoc (the fast pre-push
 #                      check)
@@ -59,7 +60,7 @@ test-full:
 	$(CARGO) test -q --workspace -- --include-ignored
 
 clippy:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 fmt:
 	$(CARGO) fmt --all -- --check

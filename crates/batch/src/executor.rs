@@ -411,26 +411,16 @@ fn exec_functional(
         }
     }
     JobResult {
-        id: job.id,
-        backend: BackendKind::Functional,
-        format: job.format,
-        shape: job.shape,
         z,
         cycles: model.estimated_cycles_format(job.shape, job.format).count(),
         macs: job.shape.macs(),
-        stall_cycles: 0,
-        status: JobStatus::Completed,
-        degraded: false,
-        retries: 0,
-        backoff_cycles: 0,
-        fault_events: 0,
         tiles_done: tiles_total,
-        tiles_total,
         events: if trace {
             model.synthetic_events_format(job.shape, job.format)
         } else {
             EventLog::new()
         },
+        ..base_result(job, BackendKind::Functional, tiles_total)
     }
 }
 
@@ -449,9 +439,9 @@ fn exec_protected(
     };
     match engine.run_ft(hw_job, &mut mem, &mut hci, plan, ft) {
         Ok(report) => {
-            // run_ft drives multiple internal sub-runs, so a live sink
-            // cannot be threaded through; synthesize Fault events from
-            // the merged fault log instead (same cycles, same order).
+            // run_ft drives multiple internal sub-runs, so no one session
+            // can record the run; synthesize Fault events from the merged
+            // fault log instead (same cycles, same order).
             let mut events = EventLog::new();
             if trace {
                 for ev in report.faults.events() {
@@ -463,23 +453,15 @@ fn exec_protected(
                 }
             }
             JobResult {
-                id: job.id,
-                backend: BackendKind::CycleAccurate,
-                format: job.format,
-                shape: job.shape,
                 z: cast::castin_slice(&mem, job.format, hw_job.z_addr, job.shape.z_len())
                     .unwrap_or_default(),
                 cycles: report.cycles.count(),
                 macs: report.macs,
                 stall_cycles: report.stall_cycles,
-                status: JobStatus::Completed,
-                degraded: false,
-                retries: 0,
-                backoff_cycles: 0,
                 fault_events: report.faults.events().len() as u64,
                 tiles_done: tiles_total,
-                tiles_total,
                 events,
+                ..base_result(job, BackendKind::CycleAccurate, tiles_total)
             }
         }
         Err(e) => failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
@@ -505,16 +487,12 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
         .with_checkpoint_interval(job.checkpoint_interval);
     let run = session.and_then(|mut s| {
         if trace {
-            s.attach_sink(Box::new(EventLog::new()));
+            s.record_events();
         }
         supervisor.run_session(s, &mut mem, &mut hci)
     });
     match run {
         Ok(run) => JobResult {
-            id: job.id,
-            backend: BackendKind::CycleAccurate,
-            format: job.format,
-            shape: job.shape,
             z: cast::castin_slice(&mem, job.format, hw_job.z_addr, job.shape.z_len())
                 .unwrap_or_default(),
             cycles: run.report.cycles.count(),
@@ -528,12 +506,23 @@ fn exec_supervised(engine: &Engine, job: &GemmJob, tiles_total: usize, trace: bo
             tiles_done: run.tiles_done,
             tiles_total: run.tiles_total,
             events: run.events,
+            ..base_result(job, BackendKind::CycleAccurate, tiles_total)
         },
         Err(e) => failed(job, BackendKind::CycleAccurate, tiles_total, e.to_string()),
     }
 }
 
 fn failed(job: &GemmJob, backend: BackendKind, tiles_total: usize, msg: String) -> JobResult {
+    JobResult {
+        status: JobStatus::Failed(msg),
+        ..base_result(job, backend, tiles_total)
+    }
+}
+
+/// The result every execution path starts from: the job's identity and
+/// tile count, no output, no work done, no events. Each path overrides
+/// only the fields it produces.
+fn base_result(job: &GemmJob, backend: BackendKind, tiles_total: usize) -> JobResult {
     JobResult {
         id: job.id,
         backend,
@@ -543,7 +532,7 @@ fn failed(job: &GemmJob, backend: BackendKind, tiles_total: usize, msg: String) 
         cycles: 0,
         macs: 0,
         stall_cycles: 0,
-        status: JobStatus::Failed(msg),
+        status: JobStatus::Completed,
         degraded: false,
         retries: 0,
         backoff_cycles: 0,

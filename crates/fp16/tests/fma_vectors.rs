@@ -229,7 +229,8 @@ fn checked_in_vectors_match_exactly() {
 fn directed_set_covers_every_category() {
     let inputs = directed_inputs();
     assert!(inputs.len() >= 200);
-    let has = |f: &dyn Fn(&(u16, u16, u16, Round)) -> bool| inputs.iter().any(|t| f(t));
+    type Input = (u16, u16, u16, Round);
+    let has = |f: &dyn Fn(&Input) -> bool| inputs.iter().any(f);
     assert!(has(&|&(a, ..)| a == 0x0001), "subnormal boundary cases");
     assert!(has(&|&(a, ..)| a == 0x7E00), "quiet NaN cases");
     assert!(has(&|&(a, ..)| a == 0x7C01), "signalling NaN cases");

@@ -265,43 +265,6 @@ impl TraceEvent {
             | TraceEvent::CorruptionDetected { cycle, .. } => *cycle,
         }
     }
-
-    /// Stable kind label, used as the counter name in [`crate::CounterSink`]
-    /// and as the event name stem in the Chrome exporter.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            TraceEvent::TileStart { .. } => "tile_start",
-            TraceEvent::TileEnd { .. } => "tile_end",
-            TraceEvent::Refill { channel, .. } => match channel {
-                Channel::W => "refill_w",
-                Channel::X => "refill_x",
-                Channel::ZPre => "refill_zpre",
-                Channel::ZStore => "refill_zstore",
-            },
-            TraceEvent::StoreDrain { .. } => "store_drain",
-            TraceEvent::HciStall { .. } => "hci_stall",
-            TraceEvent::Stall { .. } => "stall",
-            TraceEvent::Fault { phase, .. } => match phase {
-                FaultPhase::Injected => "fault_injected",
-                FaultPhase::Detected => "fault_detected",
-                FaultPhase::Corrected => "fault_corrected",
-            },
-            TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::Watchdog { .. } => "watchdog",
-            TraceEvent::Admitted { .. } => "admitted",
-            TraceEvent::AdmissionRejected { reason, .. } => match reason {
-                RejectReason::Quota => "rejected_quota",
-                RejectReason::QueueFull => "rejected_queue_full",
-                RejectReason::DeadlineInfeasible => "rejected_deadline",
-            },
-            TraceEvent::Preempted { .. } => "preempted",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::RecoveryStart { .. } => "recovery_start",
-            TraceEvent::JournalReplay { .. } => "journal_replay",
-            TraceEvent::CheckpointRestore { .. } => "checkpoint_restore",
-            TraceEvent::CorruptionDetected { .. } => "corruption_detected",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,7 +351,6 @@ mod tests {
         ];
         for (i, ev) in evs.iter().enumerate() {
             assert_eq!(ev.cycle(), i as u64 + 1);
-            assert!(!ev.kind_label().is_empty());
         }
     }
 

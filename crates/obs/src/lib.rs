@@ -9,7 +9,8 @@
 //!
 //! * [`TraceEvent`] — a typed, sim-cycle-timestamped event taxonomy (tile
 //!   start/end, W/X/Z buffer traffic, HCI stalls, faults, checkpoints,
-//!   watchdog trips) emitted by the engine through the [`TraceSink`] trait.
+//!   watchdog trips) that the engine appends to an [`EventLog`] while a
+//!   session records events.
 //! * [`PhaseCycles`] — an always-on per-cycle attribution ledger
 //!   (compute / refill / stall / fill / drain) whose categories sum
 //!   *exactly* to the run's total cycle count.
@@ -26,10 +27,10 @@
 
 pub mod chrome;
 pub mod event;
+pub mod log;
 pub mod phase;
-pub mod sink;
 
 pub use chrome::{chrome_trace, validate_chrome_trace, ChromeTraceSummary, TraceLane};
 pub use event::{Channel, RejectReason, TraceEvent};
+pub use log::EventLog;
 pub use phase::{Phase, PhaseCycles};
-pub use sink::{CounterSink, EventLog, RingSink, TraceSink};

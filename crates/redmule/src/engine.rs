@@ -23,15 +23,15 @@ use crate::buffers::{WBuffer, XBuffer, ZBuffer};
 use crate::cast;
 use crate::config::AccelConfig;
 use crate::datapath::{Acc0, ColumnCtrl, Datapath};
-use crate::decode::{decode_container, ContainerSpec, DecodeError};
+use crate::decode::{decode_container, encode_container, ContainerSpec, DecodeError};
 use crate::faults::FaultInjector;
 use crate::regfile::Job;
 use redmule_cluster::{Hci, MemError, Tcdm};
 use redmule_fp16::F16;
-use redmule_hwsim::snapshot::{fnv1a64, Snapshot, SnapshotError, StateReader, StateWriter};
+use redmule_hwsim::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
 use redmule_hwsim::stream::{Handshake, StreamMonitor};
 use redmule_hwsim::{Cycle, FaultLog, FaultPhase, Stats};
-use redmule_obs::{Channel, Phase, PhaseCycles, TraceEvent, TraceSink};
+use redmule_obs::{Channel, EventLog, Phase, PhaseCycles, TraceEvent};
 use std::cell::Cell;
 use std::fmt;
 
@@ -342,11 +342,7 @@ impl Engine {
     /// [`EngineError::InvalidJob`] for malformed descriptors and
     /// [`EngineError::Memory`] when an operand address leaves the TCDM.
     pub fn run(&self, job: Job, mem: &mut Tcdm, hci: &mut Hci) -> Result<RunReport, EngineError> {
-        let mut session = self.start(job)?;
-        while !session.is_finished() {
-            session.tick(mem, hci, &[])?;
-        }
-        Ok(session.finish())
+        self.start(job)?.run_to_finish(mem, hci)
     }
 
     /// Starts a job as a steppable [`EngineSession`] for co-simulation with
@@ -379,30 +375,6 @@ impl Engine {
         let mut sim = Sim::new(self.cfg, job, self.trace, self.policy);
         sim.injector = Some(injector);
         Ok(EngineSession::new(sim, self.watchdog))
-    }
-
-    /// Executes a job to completion with an armed [`FaultInjector`].
-    ///
-    /// This is raw injection with **no** detection or recovery — the
-    /// corrupted results land in memory as hardware would produce them.
-    /// For protected execution see `Engine::run_ft`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run`], plus [`EngineError::Watchdog`] when an injected
-    /// fault (e.g. dropped transactions) hangs the schedule.
-    pub fn run_with_faults(
-        &self,
-        job: Job,
-        mem: &mut Tcdm,
-        hci: &mut Hci,
-        injector: FaultInjector,
-    ) -> Result<RunReport, EngineError> {
-        let mut session = self.start_with_faults(job, injector)?;
-        while !session.is_finished() {
-            session.tick(mem, hci, &[])?;
-        }
-        Ok(session.finish())
     }
 
     /// Rebuilds a running [`EngineSession`] from a snapshot taken by
@@ -559,13 +531,7 @@ pub struct SessionState {
 impl SessionState {
     /// Serialises the snapshot into a self-describing byte container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 24);
-        out.extend_from_slice(&SESSION_MAGIC);
-        out.extend_from_slice(&SESSION_STATE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
-        out
+        encode_container(SESSION_CONTAINER, &self.payload)
     }
 
     /// Parses a container produced by [`SessionState::to_bytes`],
@@ -670,10 +636,10 @@ pub struct EngineSession {
     // restored scheduler cursors (progress_sig) at the end of resume().
     last_sig: Option<ProgressSig>,
     stalled_for: u64,
-    // modelcheck-allow: RM-SNAP-001 -- telemetry: trace sinks are attached
-    // per session by the caller and intentionally not serialised; a resumed
-    // session starts unsinked (see DESIGN.md §12).
-    sink: Option<Box<dyn TraceSink>>,
+    // modelcheck-allow: RM-SNAP-001 -- telemetry: event recording is
+    // switched on per session by the caller and intentionally not
+    // serialised; a resumed session starts unrecorded (see DESIGN.md §12).
+    events: Option<EventLog>,
     // modelcheck-allow: RM-SNAP-001 -- telemetry cache: monotonicity clamp
     // for estimated_remaining_cycles; resets to the no-estimate-yet state
     // on resume, which only relaxes the clamp.
@@ -708,7 +674,7 @@ enum CycleKind {
 }
 
 /// Pre-tick counter snapshot used to reconstruct trace events from deltas
-/// (only taken when a sink is attached).
+/// (only taken while the session records events).
 #[derive(Debug, Clone, Copy)]
 struct TickObs {
     tile: usize,
@@ -743,30 +709,42 @@ impl EngineSession {
             watchdog,
             last_sig: None,
             stalled_for: 0,
-            sink: None,
+            events: None,
             est_clamp: Cell::new(u64::MAX),
         }
     }
 
-    /// Attaches a trace sink; subsequent ticks emit typed
-    /// [`TraceEvent`]s into it. At most one sink is held — attaching
-    /// replaces (and drops) any previous sink. With no sink attached the
-    /// event-assembly path is skipped entirely (tracing is zero-cost when
-    /// disabled); the [`PhaseCycles`] ledger is always on either way.
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Starts recording: subsequent ticks append typed [`TraceEvent`]s to
+    /// a fresh [`EventLog`], replacing (and dropping) any log already
+    /// held. While nothing records, the event-assembly path is skipped
+    /// entirely (tracing is zero-cost when disabled); the [`PhaseCycles`]
+    /// ledger is always on either way.
+    pub fn record_events(&mut self) {
+        self.events = Some(EventLog::new());
     }
 
-    /// Detaches and returns the current sink, if any. Use
-    /// [`redmule_obs::EventLog::from_sink`] to recover a concrete event
-    /// log.
-    pub fn detach_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// Stops recording and returns the events recorded so far, if the
+    /// session was recording.
+    pub fn take_events(&mut self) -> Option<EventLog> {
+        self.events.take()
     }
 
-    /// `true` while a trace sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
+    /// `true` while the session records events.
+    pub fn is_recording(&self) -> bool {
+        self.events.is_some()
+    }
+
+    /// Ticks the session until the job has drained, then produces the
+    /// final report.
+    pub(crate) fn run_to_finish(
+        mut self,
+        mem: &mut Tcdm,
+        hci: &mut Hci,
+    ) -> Result<RunReport, EngineError> {
+        while !self.is_finished() {
+            self.tick(mem, hci, &[])?;
+        }
+        Ok(self.finish())
     }
 
     /// The per-phase cycle attribution accumulated so far.
@@ -814,7 +792,7 @@ impl EngineSession {
         self.sim.stage_pads();
         let stalls_before = self.sim.stall_cycles;
         let conflicts_before = self.sim.stats.get("port_conflicts");
-        let pre = self.sink.is_some().then(|| self.observe_pre_tick());
+        let pre = self.events.is_some().then(|| self.observe_pre_tick());
         let kind = if self.sim.n_phases == 0 {
             self.sim.flush_empty_reduction_tile(mem)?
         } else {
@@ -878,8 +856,8 @@ impl EngineSession {
     }
 
     /// Counter snapshot taken before a tick so events can be
-    /// reconstructed from deltas afterwards. Only assembled when a sink is
-    /// attached.
+    /// reconstructed from deltas afterwards. Only assembled while the
+    /// session records events.
     fn observe_pre_tick(&self) -> TickObs {
         let s = &self.sim;
         TickObs {
@@ -900,7 +878,7 @@ impl EngineSession {
     /// Emits the typed trace events for the cycle that just executed,
     /// derived from the pre/post counter deltas.
     fn emit_tick_events(&mut self, pre: &TickObs, kind: CycleKind, phase: Phase) {
-        let Some(sink) = self.sink.as_mut() else {
+        let Some(log) = self.events.as_mut() else {
             return;
         };
         let s = &self.sim;
@@ -908,7 +886,7 @@ impl EngineSession {
         if s.n_phases > 0 {
             if !pre.started && s.started {
                 let tile = s.tiles[pre.tile];
-                sink.emit(&TraceEvent::TileStart {
+                log.push(TraceEvent::TileStart {
                     cycle,
                     tile: pre.tile as u32,
                     row0: tile.row0 as u32,
@@ -917,7 +895,7 @@ impl EngineSession {
                 });
             }
             if s.compute_tile > pre.tile {
-                sink.emit(&TraceEvent::TileEnd {
+                log.push(TraceEvent::TileEnd {
                     cycle,
                     tile: pre.tile as u32,
                 });
@@ -925,14 +903,14 @@ impl EngineSession {
         } else if s.compute_tile > pre.tile {
             // Empty-reduction tiles flush in a single cycle.
             let tile = s.tiles[pre.tile];
-            sink.emit(&TraceEvent::TileStart {
+            log.push(TraceEvent::TileStart {
                 cycle,
                 tile: pre.tile as u32,
                 row0: tile.row0 as u32,
                 rows: tile.rows_live as u32,
                 cols: tile.cols_live as u32,
             });
-            sink.emit(&TraceEvent::TileEnd {
+            log.push(TraceEvent::TileEnd {
                 cycle,
                 tile: pre.tile as u32,
             });
@@ -943,7 +921,7 @@ impl EngineSession {
             (Channel::X, pre.x_loads, s.stats.get("x_loads")),
         ] {
             if after > before {
-                sink.emit(&TraceEvent::Refill {
+                log.push(TraceEvent::Refill {
                     cycle,
                     channel,
                     seq: after,
@@ -951,20 +929,20 @@ impl EngineSession {
             }
         }
         if s.stats.get("z_stores") > pre.z_stores {
-            sink.emit(&TraceEvent::StoreDrain {
+            log.push(TraceEvent::StoreDrain {
                 cycle,
                 pending: s.store_queue.len() as u32,
             });
         }
         if s.stats.get("port_conflicts") > pre.port_conflicts {
-            sink.emit(&TraceEvent::HciStall { cycle });
+            log.push(TraceEvent::HciStall { cycle });
         }
         if matches!(kind, CycleKind::Stalled(_)) {
-            sink.emit(&TraceEvent::Stall { cycle, phase });
+            log.push(TraceEvent::Stall { cycle, phase });
         }
         if let Some(inj) = &s.injector {
             for fe in &inj.log().events()[pre.faults..] {
-                sink.emit(&TraceEvent::Fault {
+                log.push(TraceEvent::Fault {
                     cycle: fe.cycle,
                     class: fe.class,
                     phase: fe.phase,
@@ -978,8 +956,8 @@ impl EngineSession {
     fn emit_watchdog(&mut self) {
         let cycle = self.cycle;
         let stalled_for = self.stalled_for;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.emit(&TraceEvent::Watchdog { cycle, stalled_for });
+        if let Some(log) = self.events.as_mut() {
+            log.push(TraceEvent::Watchdog { cycle, stalled_for });
         }
     }
 
@@ -1131,8 +1109,9 @@ impl EngineSession {
     /// [`EngineError::Snapshot`] when called mid-tile or on a session with
     /// per-cycle tracing enabled (traces are not serialised).
     ///
-    /// Takes `&mut self` only to emit a [`TraceEvent::Checkpoint`] into an
-    /// attached sink; the simulation state itself is not modified.
+    /// Takes `&mut self` only to record a [`TraceEvent::Checkpoint`] when
+    /// the session records events; the simulation state itself is not
+    /// modified.
     pub fn checkpoint(&mut self) -> Result<SessionState, EngineError> {
         let s = &self.sim;
         if s.trace.is_some() {
@@ -1202,8 +1181,8 @@ impl EngineSession {
         }
         let tile = self.sim.compute_tile as u32;
         let cycle = self.cycle;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.emit(&TraceEvent::Checkpoint { cycle, tile });
+        if let Some(log) = self.events.as_mut() {
+            log.push(TraceEvent::Checkpoint { cycle, tile });
         }
         Ok(SessionState {
             payload: w.finish(),

@@ -826,7 +826,9 @@ impl Engine {
                     restore(mem, &z_pre)?;
                 }
                 let injector = FaultInjector::new(std::mem::take(&mut specs));
-                let report = self.run_with_faults(sub_job, mem, hci, injector)?;
+                let report = self
+                    .start_with_faults(sub_job, injector)?
+                    .run_to_finish(mem, hci)?;
                 let run_base = total_cycles;
                 total_cycles = total_cycles.saturating_add(report.cycles.count());
                 stall_cycles = stall_cycles.saturating_add(report.stall_cycles);

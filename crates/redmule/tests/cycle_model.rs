@@ -41,8 +41,8 @@ fn staged(shape: GemmShape, seed: u32) -> (redmule::Job, Tcdm, Hci) {
     stage_gemm_workspace(shape, &x, &w, None).expect("staging")
 }
 
-/// Runs `job` to completion with an [`EventLog`] sink attached to its
-/// session; returns the report and the recorded event stream.
+/// Runs `job` to completion on a session that records events; returns
+/// the report and the recorded event stream.
 fn run_traced(
     engine: &Engine,
     job: redmule::Job,
@@ -50,14 +50,11 @@ fn run_traced(
     hci: &mut Hci,
 ) -> (RunReport, EventLog) {
     let mut session = engine.start(job).expect("start");
-    session.attach_sink(Box::new(EventLog::new()));
+    session.record_events();
     while !session.is_finished() {
         session.tick(mem, hci, &[]).expect("tick");
     }
-    let events = session
-        .detach_sink()
-        .and_then(EventLog::from_sink)
-        .expect("the attached EventLog");
+    let events = session.take_events().expect("the session was recording");
     (session.finish(), events)
 }
 
@@ -335,7 +332,7 @@ fn traced_run_emits_a_consistent_event_stream() {
 
 #[test]
 fn untraced_sessions_charge_no_observation_state() {
-    // Zero-cost-when-disabled: a session without a sink must produce a
+    // Zero-cost-when-disabled: an unrecorded session must produce a
     // bit-identical report to a traced one (tracing is read-only), and
     // an empty event log.
     let engine = Engine::new(AccelConfig::paper());
@@ -348,7 +345,4 @@ fn untraced_sessions_charge_no_observation_state() {
     assert_eq!(plain.macs, traced.macs);
     assert_eq!(plain.phases, traced.phases);
     assert!(!events.is_empty());
-    let mut log = EventLog::new();
-    events.replay_into(&mut log);
-    assert_eq!(log, events);
 }

@@ -7,10 +7,12 @@
 //! a run restored on a fresh cluster is bit-identical to one that never
 //! stopped.
 
-use redmule::decode::{decode_container, take_byte_section, ContainerSpec, DecodeError};
+use redmule::decode::{
+    decode_container, encode_container, take_byte_section, ContainerSpec, DecodeError,
+};
 use redmule::{Engine, EngineError, EngineSession, SessionState};
 use redmule_cluster::{Hci, Tcdm};
-use redmule_hwsim::snapshot::{fnv1a64, Snapshot, StateReader, StateWriter};
+use redmule_hwsim::snapshot::{Snapshot, StateReader, StateWriter};
 
 /// Container magic identifying serialised checkpoints.
 const CHECKPOINT_MAGIC: [u8; 4] = *b"RMCK";
@@ -44,8 +46,8 @@ impl Checkpoint {
     /// Captures a checkpoint of `session` and the cluster state it runs
     /// against. Only legal at a tile boundary (see
     /// [`EngineSession::checkpoint`]). The session is borrowed mutably
-    /// only so the capture shows up as a `Checkpoint` trace event in any
-    /// attached sink; its simulation state is untouched.
+    /// only so the capture shows up as a `Checkpoint` trace event when the
+    /// session records events; its simulation state is untouched.
     ///
     /// # Errors
     ///
@@ -104,14 +106,7 @@ impl Checkpoint {
         payload.put(&self.session.to_bytes());
         payload.put(&self.tcdm);
         payload.put(&self.hci);
-        let payload = payload.finish();
-        let mut out = Vec::with_capacity(payload.len() + 24);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out
+        encode_container(CHECKPOINT_CONTAINER, &payload.finish())
     }
 
     /// Parses a container produced by [`Checkpoint::to_bytes`], verifying

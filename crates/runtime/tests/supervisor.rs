@@ -1,10 +1,12 @@
 //! Supervisor behaviour: budgets, deadlines, cancellation, panic
 //! isolation, watchdog recovery and graceful degradation.
 
+use redmule::obs::TraceEvent;
 use redmule::{stage_gemm_workspace, AccelConfig, Engine};
 use redmule_fp16::vector::{gemm_golden, GemmShape};
 use redmule_fp16::F16;
 use redmule_runtime::{CancelToken, Checkpoint, Limits, RetryPolicy, StopReason, Supervisor};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
@@ -240,23 +242,53 @@ fn panic_in_simulation_is_isolated_and_retried() {
     let engine = Engine::new(small_cfg());
     let supervisor = Supervisor::new(engine.clone());
 
-    let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
-    let session = engine.start(job).expect("start");
-    let mut armed = true;
-    let run = supervisor
-        .run_observed(session, &mut mem, &mut hci, |s| {
-            if armed && s.cycle() == 37 {
-                armed = false;
-                panic!("injected simulation panic");
-            }
-        })
-        .expect("supervised run survives the panic");
+    // The second run records events, so the rollback must carry the
+    // recording over to the restored session.
+    for record in [false, true] {
+        let (job, mut mem, mut hci) = stage_gemm_workspace(shape, &x, &w, None).expect("stage");
+        let mut session = engine.start(job).expect("start");
+        if record {
+            session.record_events();
+        }
+        let mut armed = true;
+        let run = supervisor
+            .run_observed(session, &mut mem, &mut hci, |s| {
+                if armed && s.cycle() == 37 {
+                    armed = false;
+                    panic!("injected simulation panic");
+                }
+            })
+            .expect("supervised run survives the panic");
 
-    assert!(matches!(run.stop, StopReason::Completed));
-    assert!(!run.degraded);
-    assert_eq!(run.retries, 1, "one rollback recovers the panic");
-    let z = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
-    assert_eq!(bits(&z), bits(&golden), "recovered run is still bit-exact");
+        assert!(matches!(run.stop, StopReason::Completed));
+        assert!(!run.degraded);
+        assert_eq!(run.retries, 1, "one rollback recovers the panic");
+        let z = mem.load_f16_slice(job.z_addr, shape.z_len()).expect("Z");
+        assert_eq!(bits(&z), bits(&golden), "recovered run is still bit-exact");
+        if !record {
+            assert!(run.events.is_empty(), "an unrecorded run carries no events");
+            continue;
+        }
+
+        let events = run.events.events();
+        assert!(!events.is_empty(), "recording survives the rollback");
+        // Tiles finished before the restored checkpoint may be missing,
+        // but no tile may start twice: the rolled-back attempt's events
+        // are dropped, not kept alongside the retry's.
+        let mut started = BTreeSet::new();
+        for ev in events {
+            if let TraceEvent::TileStart { tile, .. } = ev {
+                assert!(started.insert(*tile), "tile {tile} started twice");
+            }
+        }
+        let last = (run.tiles_total - 1) as u32;
+        assert!(
+            events
+                .iter()
+                .any(|ev| matches!(ev, TraceEvent::TileEnd { tile, .. } if *tile == last)),
+            "the last tile's TileEnd is recorded"
+        );
+    }
 }
 
 #[test]

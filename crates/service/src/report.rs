@@ -2,6 +2,7 @@
 
 use crate::request::{RejectedRecord, ServiceStatus};
 use redmule::obs::{chrome_trace, EventLog, TraceLane};
+use redmule_hwsim::snapshot::fnv1a64;
 use std::fmt::Write as _;
 
 /// Final record of one *accepted* job.
@@ -296,17 +297,6 @@ impl ServiceReport {
     fn count(&self, pred: impl Fn(&ServiceStatus) -> bool) -> usize {
         self.jobs.iter().filter(|j| pred(&j.status)).count()
     }
-}
-
-/// FNV-1a-64 over raw bytes; used to fold outputs and checkpoints into
-/// the integer-only canonical report.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// FNV-1a-64 over the bit patterns of an FP16 slice.

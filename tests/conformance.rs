@@ -93,6 +93,9 @@ fn bits(v: &[F16]) -> Vec<u16> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// An element generator for the directed special-value matrices.
+type Fill = Box<dyn Fn(usize) -> F16>;
+
 /// Runs one case through all three execution paths and compares Z
 /// bitwise. Returns the first divergence as an error message.
 fn run_case(c: Case) -> Result<(), String> {
@@ -366,7 +369,7 @@ fn accumulate_mode_agrees_bitwise() {
 #[test]
 fn all_special_value_matrices_agree() {
     let shape = GemmShape::new(9, 17, 20); // crosses every tile boundary
-    let fills: [(&str, Box<dyn Fn(usize) -> F16>); 4] = [
+    let fills: [(&str, Fill); 4] = [
         (
             "all-NaN",
             Box::new(|i| F16::from_bits(0x7C01 + (i % 0x3FE) as u16)),
@@ -385,7 +388,7 @@ fn all_special_value_matrices_agree() {
         ),
     ];
     for (name, fill) in &fills {
-        let x: Vec<F16> = (0..shape.x_len()).map(|i| fill(i)).collect();
+        let x: Vec<F16> = (0..shape.x_len()).map(fill).collect();
         let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
         let func = FunctionalGemm::paper_instance()
             .run_format(shape, Format::Fp16, &x, &w)
@@ -489,7 +492,7 @@ fn fp8_accumulate_mode_agrees_bitwise() {
 #[test]
 fn fp8_all_special_value_matrices_agree() {
     let shape = GemmShape::new(9, 17, 20); // crosses every tile boundary
-    let fills: [(&str, Box<dyn Fn(usize) -> F16>); 4] = [
+    let fills: [(&str, Fill); 4] = [
         (
             "all-NaN",
             Box::new(|i| F16::from_bits(0x7C01 + (i % 0x3FE) as u16)),
@@ -509,7 +512,7 @@ fn fp8_all_special_value_matrices_agree() {
     ];
     for format in FP8_FORMATS {
         for (name, fill) in &fills {
-            let x: Vec<F16> = (0..shape.x_len()).map(|i| fill(i)).collect();
+            let x: Vec<F16> = (0..shape.x_len()).map(fill).collect();
             let w: Vec<F16> = (0..shape.w_len()).map(|i| fill(i + 7)).collect();
             let func = FunctionalGemm::paper_instance()
                 .run_format(shape, format, &x, &w)
