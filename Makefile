@@ -13,7 +13,8 @@
 #   make modelcheck-json — same scan, machine-readable report written to
 #                      modelcheck-report.json (the CI artifact)
 #   make build       — release build, plus a compile check of every
-#                      bench target (`cargo test` skips benches/)
+#                      bench target (`cargo test` skips benches/) and of
+#                      the perfbench/ benchmark workspace
 #   make lint        — static gates only: modelcheck + warning-free
 #                      clippy + warning-free rustdoc (the fast pre-push
 #                      check)
@@ -52,6 +53,7 @@ verify: build test lint fmt batch-smoke trace-smoke service-smoke recover-smoke 
 build:
 	$(CARGO) build --release
 	$(CARGO) check --workspace --benches
+	$(CARGO) check --manifest-path perfbench/Cargo.toml
 
 test:
 	$(CARGO) test -q --workspace

@@ -2,7 +2,6 @@
 
 use crate::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A registry of named `u64` event counters.
 ///
@@ -20,7 +19,6 @@ use std::fmt;
 /// s.incr("cycles");
 /// assert_eq!(s.get("macs"), 32);
 /// assert_eq!(s.get("not-recorded"), 0);
-/// assert!((s.ratio("macs", "cycles") - 32.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -53,16 +51,6 @@ impl Stats {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// `numerator / denominator` as `f64`; zero denominator yields 0.0.
-    pub fn ratio(&self, numerator: &str, denominator: &str) -> f64 {
-        let d = self.get(denominator);
-        if d == 0 {
-            0.0
-        } else {
-            self.get(numerator) as f64 / d as f64
-        }
-    }
-
     /// Merges another registry into this one by summing counters.
     pub fn merge(&mut self, other: &Stats) {
         for (k, v) in &other.counters {
@@ -73,16 +61,6 @@ impl Stats {
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// `true` if no counter has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
     }
 }
 
@@ -107,27 +85,12 @@ impl Snapshot for Stats {
     }
 }
 
-impl fmt::Display for Stats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.counters {
-            writeln!(f, "{k:<32} {v}")?;
-        }
-        Ok(())
-    }
-}
-
-impl<'a> Extend<(&'a str, u64)> for Stats {
-    fn extend<T: IntoIterator<Item = (&'a str, u64)>>(&mut self, iter: T) {
-        for (k, v) in iter {
-            self.add(k, v);
-        }
-    }
-}
-
 impl<'a> FromIterator<(&'a str, u64)> for Stats {
     fn from_iter<T: IntoIterator<Item = (&'a str, u64)>>(iter: T) -> Stats {
         let mut s = Stats::new();
-        s.extend(iter);
+        for (k, v) in iter {
+            s.add(k, v);
+        }
         s
     }
 }
@@ -139,23 +102,12 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = Stats::new();
-        assert!(s.is_empty());
         s.incr("a");
         s.incr("a");
         s.add("b", 40);
         assert_eq!(s.get("a"), 2);
         assert_eq!(s.get("b"), 40);
         assert_eq!(s.get("missing"), 0);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn ratio_handles_zero_denominator() {
-        let mut s = Stats::new();
-        s.add("x", 5);
-        assert_eq!(s.ratio("x", "none"), 0.0);
-        s.add("none", 2);
-        assert!((s.ratio("x", "none") - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -173,13 +125,5 @@ mod tests {
         let s: Stats = [("z", 1u64), ("a", 2), ("m", 3)].into_iter().collect();
         let names: Vec<&str> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(names, ["a", "m", "z"]);
-    }
-
-    #[test]
-    fn display_lists_each_counter() {
-        let s: Stats = [("cycles", 10u64)].into_iter().collect();
-        let text = s.to_string();
-        assert!(text.contains("cycles"));
-        assert!(text.contains("10"));
     }
 }

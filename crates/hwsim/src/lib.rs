@@ -13,7 +13,7 @@
 //!   Fig. 2c memory-access schedule notation.
 //! * [`arbiter`] — round-robin arbitration (HCI logarithmic branch) and the
 //!   starvation-free rotating multiplexer between interconnect branches.
-//! * [`Stats`] — named event counters with utilization helpers.
+//! * [`Stats`] — named event counters.
 //! * [`snapshot`] — versioned state serialisation so long simulations can
 //!   checkpoint and resume bit-exactly.
 //! * [`vcd`] — a waveform writer producing standard VCD files viewable in

@@ -239,13 +239,6 @@ impl<T> ShiftRegister<T> {
         self.data.pop_front()
     }
 
-    /// Mutable access to the `idx`-th pending element (0 = next to shift
-    /// out), or `None` when out of range. Fault-injection hook for the
-    /// W-buffer broadcast registers.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
-        self.data.get_mut(idx)
-    }
-
     /// Discards any remaining contents (synchronous reset).
     pub fn reset(&mut self) {
         self.data.clear();

@@ -13,12 +13,7 @@
 //!   accesses are interleaved into free memory slots.
 
 use redmule_fp16::F16;
-use redmule_hwsim::faults::flip_bit16;
 use redmule_hwsim::ShiftRegister;
-
-fn flip_f16(value: &mut F16, bit: u8) {
-    *value = F16::from_bits(flip_bit16(value.to_bits(), bit));
-}
 
 /// Double-buffered X operand storage.
 ///
@@ -114,24 +109,6 @@ impl XBuffer {
         self.current[row]
             .as_ref()
             .expect("no current chunk; datapath should have stalled")[idx]
-    }
-
-    /// Flips `bit` of the operand at `idx` within `row`'s **current**
-    /// chunk. Returns `false` (fault masked) when no chunk is current or an
-    /// index is out of range.
-    pub fn corrupt_current(&mut self, row: usize, idx: usize, bit: u8) -> bool {
-        match self
-            .current
-            .get_mut(row)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.get_mut(idx))
-        {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Clears both halves (soft reset between jobs).
@@ -232,35 +209,6 @@ impl WBuffer {
             .expect("W register underrun; datapath should have stalled")
     }
 
-    /// Flips `bit` of the `elem`-th element of `col`'s **staged** group.
-    /// Returns `false` (fault masked) when nothing is staged there.
-    pub fn corrupt_staged(&mut self, col: usize, elem: usize, bit: u8) -> bool {
-        match self
-            .staging
-            .get_mut(col)
-            .and_then(Option::as_mut)
-            .and_then(|g| g.get_mut(elem))
-        {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Flips `bit` of the `idx`-th pending element (0 = next broadcast) of
-    /// `col`'s active shift register. Returns `false` when out of range.
-    pub fn corrupt_register(&mut self, col: usize, idx: usize, bit: u8) -> bool {
-        match self.current.get_mut(col).and_then(|r| r.get_mut(idx)) {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Clears registers and staging (soft reset).
     pub fn reset(&mut self) {
         for r in &mut self.current {
@@ -330,18 +278,6 @@ impl ZBuffer {
     /// Releases the buffer after all stores were issued.
     pub fn release(&mut self) {
         self.occupied = false;
-    }
-
-    /// Flips `bit` of the element at (`row`, `col`). Returns `false` when
-    /// an index is out of range.
-    pub fn corrupt(&mut self, row: usize, col: usize, bit: u8) -> bool {
-        match self.rows.get_mut(row).and_then(|r| r.get_mut(col)) {
-            Some(v) => {
-                flip_f16(v, bit);
-                true
-            }
-            None => false,
-        }
     }
 }
 

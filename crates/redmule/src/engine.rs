@@ -173,7 +173,16 @@ pub struct RunReport {
     /// `phases.total()` equals `cycles.count()` — a schedule invariant the
     /// test-suite pins. Also mirrored into `stats` as `phase_*` keys.
     pub phases: PhaseCycles,
-    /// Event counters (`w_loads`, `x_loads`, `z_stores`, `port_idle`, ...).
+    /// Named counters, in name order: the streamer's port counters when
+    /// non-zero (`w_loads`, `x_loads`, `z_preloads`, `z_stores`: transfers
+    /// per stream; `port_conflicts`: HCI denials; `port_gated`: cycles the
+    /// half-bandwidth ablation shut the port; `port_idle`: cycles with
+    /// nothing to issue; `fp8_pair_beats`: FP8 beats carrying a second
+    /// transfer), `stall_cycles` and `macs` as above, `lane_macs` (lane
+    /// activity including padding), the `phase_*` mirror of `phases`, and
+    /// `faults_injected` when `faults` is non-empty. [`Engine::run_ft`]
+    /// sums these over its sub-runs and adds `ft_runs`, `abft_cycles`,
+    /// `faults_detected`, `faults_corrected` and `tiles_replayed`.
     pub stats: Stats,
     /// Per-cycle port traces when the engine was built with
     /// [`Engine::with_trace`].
@@ -466,7 +475,9 @@ impl Engine {
             }
         }
         sim.w_inflight = w_inflight.map(|(col, group)| (col, f16_from_bits(group)));
-        sim.stats.restore_state(&mut r)?;
+        let mut named = Stats::new();
+        named.restore_state(&mut r)?;
+        sim.counters = PortCounters::from_named(&named)?;
         sim.useful_macs = r.get()?;
         sim.stall_cycles = r.get()?;
         sim.phases.restore_state(&mut r)?;
@@ -679,11 +690,7 @@ enum CycleKind {
 struct TickObs {
     tile: usize,
     started: bool,
-    w_loads: u64,
-    x_loads: u64,
-    z_preloads: u64,
-    z_stores: u64,
-    port_conflicts: u64,
+    counters: PortCounters,
     faults: usize,
 }
 
@@ -791,7 +798,7 @@ impl EngineSession {
         self.sim.inject_cycle_faults(self.cycle, mem);
         self.sim.stage_pads();
         let stalls_before = self.sim.stall_cycles;
-        let conflicts_before = self.sim.stats.get("port_conflicts");
+        let conflicts_before = self.sim.counters.port_conflicts;
         let pre = self.events.is_some().then(|| self.observe_pre_tick());
         let kind = if self.sim.n_phases == 0 {
             self.sim.flush_empty_reduction_tile(mem)?
@@ -809,7 +816,7 @@ impl EngineSession {
             CycleKind::Advance => Phase::Compute,
             CycleKind::DrainOnly => Phase::Drain,
             CycleKind::Stalled(cause) => {
-                if self.sim.stats.get("port_conflicts") > conflicts_before {
+                if self.sim.counters.port_conflicts > conflicts_before {
                     Phase::Stall
                 } else {
                     cause
@@ -863,11 +870,7 @@ impl EngineSession {
         TickObs {
             tile: s.compute_tile,
             started: s.started,
-            w_loads: s.stats.get("w_loads"),
-            x_loads: s.stats.get("x_loads"),
-            z_preloads: s.stats.get("z_preloads"),
-            z_stores: s.stats.get("z_stores"),
-            port_conflicts: s.stats.get("port_conflicts"),
+            counters: s.counters,
             faults: s
                 .injector
                 .as_ref()
@@ -882,26 +885,17 @@ impl EngineSession {
             return;
         };
         let s = &self.sim;
+        let (before, after) = (&pre.counters, &s.counters);
         let cycle = self.cycle;
-        if s.n_phases > 0 {
-            if !pre.started && s.started {
-                let tile = s.tiles[pre.tile];
-                log.push(TraceEvent::TileStart {
-                    cycle,
-                    tile: pre.tile as u32,
-                    row0: tile.row0 as u32,
-                    rows: tile.rows_live as u32,
-                    cols: tile.cols_live as u32,
-                });
-            }
-            if s.compute_tile > pre.tile {
-                log.push(TraceEvent::TileEnd {
-                    cycle,
-                    tile: pre.tile as u32,
-                });
-            }
-        } else if s.compute_tile > pre.tile {
-            // Empty-reduction tiles flush in a single cycle.
+        let ended = s.compute_tile > pre.tile;
+        // Empty-reduction tiles start and end in the single cycle that
+        // flushes them.
+        let started = if s.n_phases > 0 {
+            !pre.started && s.started
+        } else {
+            ended
+        };
+        if started {
             let tile = s.tiles[pre.tile];
             log.push(TraceEvent::TileStart {
                 cycle,
@@ -910,31 +904,33 @@ impl EngineSession {
                 rows: tile.rows_live as u32,
                 cols: tile.cols_live as u32,
             });
+        }
+        if ended {
             log.push(TraceEvent::TileEnd {
                 cycle,
                 tile: pre.tile as u32,
             });
         }
-        for (channel, before, after) in [
-            (Channel::W, pre.w_loads, s.stats.get("w_loads")),
-            (Channel::ZPre, pre.z_preloads, s.stats.get("z_preloads")),
-            (Channel::X, pre.x_loads, s.stats.get("x_loads")),
+        for (channel, pre_seq, seq) in [
+            (Channel::W, before.w_loads, after.w_loads),
+            (Channel::ZPre, before.z_preloads, after.z_preloads),
+            (Channel::X, before.x_loads, after.x_loads),
         ] {
-            if after > before {
+            if seq > pre_seq {
                 log.push(TraceEvent::Refill {
                     cycle,
                     channel,
-                    seq: after,
+                    seq,
                 });
             }
         }
-        if s.stats.get("z_stores") > pre.z_stores {
+        if after.z_stores > before.z_stores {
             log.push(TraceEvent::StoreDrain {
                 cycle,
                 pending: s.store_queue.len() as u32,
             });
         }
-        if s.stats.get("port_conflicts") > pre.port_conflicts {
+        if after.port_conflicts > before.port_conflicts {
             log.push(TraceEvent::HciStall { cycle });
         }
         if matches!(kind, CycleKind::Stalled(_)) {
@@ -969,12 +965,6 @@ impl EngineSession {
     /// until [`EngineSession::is_finished`]).
     pub fn finish(mut self) -> RunReport {
         assert!(self.is_finished(), "job still in flight");
-        self.sim.stats.add("stall_cycles", self.sim.stall_cycles);
-        self.sim.stats.add("macs", self.sim.useful_macs);
-        self.sim.stats.add("lane_macs", self.sim.dp.macs());
-        for (label, cycles) in self.sim.phases.iter() {
-            self.sim.stats.add(&format!("phase_{label}"), cycles);
-        }
         debug_assert_eq!(
             self.sim.phases.total(),
             self.cycle,
@@ -991,20 +981,8 @@ impl EngineSession {
             .take()
             .map(FaultInjector::into_log)
             .unwrap_or_default();
-        if !faults.is_empty() {
-            self.sim
-                .stats
-                .add("faults_injected", faults.count(FaultPhase::Injected));
-        }
-        RunReport {
-            cycles: Cycle::new(self.cycle),
-            macs: self.sim.useful_macs,
-            stall_cycles: self.sim.stall_cycles,
-            phases: self.sim.phases,
-            stats: self.sim.stats,
-            trace: self.sim.trace,
-            faults,
-        }
+        let trace = self.sim.trace.take();
+        self.report(trace, faults)
     }
 
     /// Cycles executed so far.
@@ -1167,7 +1145,7 @@ impl EngineSession {
                 .as_ref()
                 .map(|(col, group)| (*col, f16_bits(group))),
         );
-        s.stats.save_state(&mut w);
+        s.counters.nonzero().collect::<Stats>().save_state(&mut w);
         w.put(&s.useful_macs);
         w.put(&s.stall_cycles);
         s.phases.save_state(&mut w);
@@ -1194,31 +1172,95 @@ impl EngineSession {
     /// [`EngineSession::finish`] this does not consume the session, never
     /// panics mid-flight and skips the full-job MAC accounting check.
     pub fn partial_report(&self) -> RunReport {
-        let mut stats = self.sim.stats.clone();
-        stats.add("stall_cycles", self.sim.stall_cycles);
-        stats.add("macs", self.sim.useful_macs);
-        stats.add("lane_macs", self.sim.dp.macs());
-        for (label, cycles) in self.sim.phases.iter() {
-            stats.add(&format!("phase_{label}"), cycles);
-        }
         let faults = self
             .sim
             .injector
             .as_ref()
             .map(|injector| injector.log().clone())
             .unwrap_or_default();
+        self.report(None, faults)
+    }
+
+    /// The report for the cycles executed so far; [`RunReport::stats`] is
+    /// rendered here from the typed counters, the MAC and stall totals,
+    /// the phase ledger and the fault log.
+    fn report(&self, trace: Option<EngineTrace>, faults: FaultLog) -> RunReport {
+        let s = &self.sim;
+        let mut stats: Stats = s.counters.nonzero().collect();
+        stats.add("stall_cycles", s.stall_cycles);
+        stats.add("macs", s.useful_macs);
+        stats.add("lane_macs", s.dp.macs());
+        for (label, cycles) in s.phases.iter() {
+            stats.add(&format!("phase_{label}"), cycles);
+        }
         if !faults.is_empty() {
             stats.add("faults_injected", faults.count(FaultPhase::Injected));
         }
         RunReport {
             cycles: Cycle::new(self.cycle),
-            macs: self.sim.useful_macs,
-            stall_cycles: self.sim.stall_cycles,
-            phases: self.sim.phases,
+            macs: s.useful_macs,
+            stall_cycles: s.stall_cycles,
+            phases: s.phases,
             stats,
-            trace: None,
+            trace,
             faults,
         }
+    }
+}
+
+/// The streamer's port counters, bumped in the tick loop (see
+/// [`RunReport::stats`] for what each counts). They reach reports and
+/// session snapshots by name through [`COUNTERS`] only.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortCounters {
+    w_loads: u64,
+    x_loads: u64,
+    z_preloads: u64,
+    z_stores: u64,
+    port_conflicts: u64,
+    port_gated: u64,
+    port_idle: u64,
+    fp8_pair_beats: u64,
+}
+
+/// Selects one [`PortCounters`] field.
+type CounterField = fn(&mut PortCounters) -> &mut u64;
+
+/// Every [`PortCounters`] field under its report and snapshot name, in
+/// name order (the order `RunReport.stats` iterates in).
+const COUNTERS: [(&str, CounterField); 8] = [
+    ("fp8_pair_beats", |c| &mut c.fp8_pair_beats),
+    ("port_conflicts", |c| &mut c.port_conflicts),
+    ("port_gated", |c| &mut c.port_gated),
+    ("port_idle", |c| &mut c.port_idle),
+    ("w_loads", |c| &mut c.w_loads),
+    ("x_loads", |c| &mut c.x_loads),
+    ("z_preloads", |c| &mut c.z_preloads),
+    ("z_stores", |c| &mut c.z_stores),
+];
+
+impl PortCounters {
+    /// The non-zero counters by name, in name order: what reports show
+    /// and snapshots store.
+    fn nonzero(mut self) -> impl Iterator<Item = (&'static str, u64)> {
+        COUNTERS
+            .into_iter()
+            .map(move |(name, field)| (name, *field(&mut self)))
+            .filter(|&(_, value)| value > 0)
+    }
+
+    /// Rebuilds the counters from the named form snapshots store; a name
+    /// outside [`COUNTERS`] means a damaged or foreign snapshot.
+    fn from_named(named: &Stats) -> Result<PortCounters, EngineError> {
+        let mut counters = PortCounters::default();
+        for (name, value) in named.iter() {
+            let Some((_, field)) = COUNTERS.iter().find(|(known, _)| *known == name) else {
+                let msg = format!("corrupt snapshot: unknown counter {name:?}");
+                return Err(EngineError::Snapshot(msg));
+            };
+            *field(&mut counters) = value;
+        }
+        Ok(counters)
     }
 }
 
@@ -1271,7 +1313,7 @@ struct Sim {
     /// Pending Z stores.
     store_queue: std::collections::VecDeque<StoreReq>,
 
-    stats: Stats,
+    counters: PortCounters,
     useful_macs: u64,
     stall_cycles: u64,
     /// Always-on per-cycle attribution ledger: exactly one [`Phase`] is
@@ -1321,7 +1363,7 @@ impl Sim {
             zpre: vec![vec![F16::ZERO; pw]; cfg.l],
             zpre_ready_tile: usize::MAX,
             store_queue: std::collections::VecDeque::new(),
-            stats: Stats::new(),
+            counters: PortCounters::default(),
             useful_macs: 0,
             stall_cycles: 0,
             phases: PhaseCycles::new(),
@@ -1564,9 +1606,8 @@ impl Sim {
     /// hardware generates these zeros locally.
     fn stage_pads(&mut self) {
         // W pads.
-        while let Some((tile, phase, col)) = self.w_head() {
+        while let Some((_, phase, col)) = self.w_head() {
             let n_idx = phase * self.cfg.h + col;
-            let _ = tile;
             if n_idx < self.job.n || !self.wb.staging_free(col) {
                 break;
             }
@@ -1574,9 +1615,8 @@ impl Sim {
             self.advance_w();
         }
         // X pads.
-        while let Some((tile_idx, chunk, row)) = self.x_head() {
+        while let Some((tile_idx, _, row)) = self.x_head() {
             let tile = self.tiles[tile_idx];
-            let _ = chunk;
             if row < tile.rows_live || !self.xb.staging_free(row) {
                 break;
             }
@@ -1696,7 +1736,7 @@ impl Sim {
         log_requests: &[(redmule_cluster::Initiator, u32)],
     ) -> Result<Vec<bool>, EngineError> {
         if self.policy == StreamerPolicy::HalfBandwidth && cycle % 2 == 1 {
-            self.stats.incr("port_gated");
+            self.counters.port_gated += 1;
             self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
             return Ok(grants.log_granted);
@@ -1709,7 +1749,7 @@ impl Sim {
         }
 
         let Some(pick) = self.select_pick() else {
-            self.stats.incr("port_idle");
+            self.counters.port_idle += 1;
             self.record_stream_trace(' ', false);
             let grants = hci.arbitrate(log_requests, None);
             return Ok(grants.log_granted);
@@ -1726,7 +1766,7 @@ impl Sim {
         let addr = self.pick_addr(pick);
         let grants = hci.arbitrate(log_requests, Some(addr));
         if !grants.shallow_granted {
-            self.stats.incr("port_conflicts");
+            self.counters.port_conflicts += 1;
             self.record_stream_trace(kind, false);
             return Ok(grants.log_granted);
         }
@@ -1737,7 +1777,7 @@ impl Sim {
             // beat (no extra HCI arbitration — it is one wide access).
             if let Some(second) = self.select_pick() {
                 self.serve_pick(second, mem, cycle)?;
-                self.stats.incr("fp8_pair_beats");
+                self.counters.fp8_pair_beats += 1;
             }
         }
 
@@ -1778,7 +1818,7 @@ impl Sim {
                     self.wb.stage_group(col, group);
                 }
                 self.advance_w();
-                self.stats.incr("w_loads");
+                self.counters.w_loads += 1;
             }
             Pick::ZPre(tile, row) => {
                 let t = self.tiles[tile];
@@ -1799,7 +1839,7 @@ impl Sim {
                     self.zpre_ready_tile = tile;
                     self.zpre_cursor = (tile, 0);
                 }
-                self.stats.incr("z_preloads");
+                self.counters.z_preloads += 1;
             }
             Pick::X(tile, chunk, row) => {
                 let t = self.tiles[tile];
@@ -1822,7 +1862,7 @@ impl Sim {
                 }
                 self.xb.stage_row(row, data);
                 self.advance_x();
-                self.stats.incr("x_loads");
+                self.counters.x_loads += 1;
             }
             Pick::ZStore => {
                 // modelcheck-allow: RM-PANIC-001 -- arbitration invariant:
@@ -1836,7 +1876,7 @@ impl Sim {
                 for (jj, v) in data.iter().enumerate() {
                     cast::castout(mem, format, addr + esz * jj as u32, *v)?;
                 }
-                self.stats.incr("z_stores");
+                self.counters.z_stores += 1;
             }
         }
         Ok(())
@@ -1868,5 +1908,79 @@ impl Sim {
         } else {
             Handshake::IDLE
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::accelerator::stage_gemm_workspace;
+    use crate::faults::FaultSite;
+    use redmule_fp16::vector::GemmShape;
+
+    /// A 16x16x32 all-ones job on the paper instance (four output tiles).
+    fn staged() -> (Job, Tcdm, Hci) {
+        let shape = GemmShape::new(16, 16, 32);
+        let ones = |len| vec![F16::ONE; len];
+        stage_gemm_workspace(shape, &ones(shape.x_len()), &ones(shape.w_len()), None)
+            .expect("stage")
+    }
+
+    #[test]
+    fn snapshot_naming_an_unknown_counter_is_rejected() {
+        let engine = Engine::new(AccelConfig::paper());
+        let (job, mut mem, mut hci) = staged();
+        let mut session = engine.start(job).expect("start");
+        while session.tiles_completed() < 2 {
+            session.tick(&mut mem, &mut hci, &[]).expect("tick");
+        }
+        let state = session.checkpoint().expect("tile-boundary checkpoint");
+        engine
+            .resume(&state)
+            .expect("the untouched snapshot resumes");
+
+        // Rename one counter in place (same length, last byte '#'), so
+        // the payload still parses and only the name is foreign.
+        let mut payload = state.payload.clone();
+        let (at, name) = COUNTERS
+            .iter()
+            .find_map(|(name, _)| {
+                let at = payload
+                    .windows(name.len())
+                    .position(|w| w == name.as_bytes())?;
+                Some((at, *name))
+            })
+            .expect("a mid-run snapshot names its counters");
+        payload[at + name.len() - 1] = b'#';
+        let foreign = format!("{}#", &name[..name.len() - 1]);
+        match engine.resume(&SessionState { payload }) {
+            Err(EngineError::Snapshot(msg)) => assert!(msg.contains(&foreign), "{msg}"),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn partial_report_of_a_finished_session_matches_finish() {
+        let engine = Engine::new(AccelConfig::paper());
+        let (job, mut mem, mut hci) = staged();
+        let strike = FaultSite::ZStore {
+            store: 1,
+            elem: 0,
+            bit: 3,
+        };
+        let injector = FaultInjector::new(vec![(0, strike)]);
+        let mut session = engine.start_with_faults(job, injector).expect("start");
+        while !session.is_finished() {
+            session.tick(&mut mem, &mut hci, &[]).expect("tick");
+        }
+        let partial = session.partial_report();
+        let full = session.finish();
+        assert_eq!(partial.cycles, full.cycles);
+        assert_eq!(partial.macs, full.macs);
+        assert_eq!(partial.stall_cycles, full.stall_cycles);
+        assert_eq!(partial.phases, full.phases);
+        assert_eq!(partial.stats, full.stats);
+        assert_eq!(partial.faults, full.faults);
+        assert!(full.stats.get("faults_injected") > 0);
     }
 }

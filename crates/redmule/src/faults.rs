@@ -29,7 +29,7 @@ use crate::config::AccelConfig;
 use crate::datapath::Datapath;
 use crate::engine::{Engine, EngineError, RunReport};
 use crate::regfile::Job;
-use redmule_cluster::{Hci, Tcdm};
+use redmule_cluster::{Hci, MemError, Tcdm};
 use redmule_fp16::vector::{gemm_golden_accumulate, GemmShape};
 use redmule_fp16::F16;
 use redmule_hwsim::faults::flip_bit16;
@@ -796,16 +796,19 @@ impl Engine {
             };
             let mut specs = plan.expand_for_tile(idx, &cfg, &geom, &job);
 
+            // The tile's Z rows as they sit in TCDM, widened to FP16.
+            let z_rows = |mem: &Tcdm| -> Result<Vec<Vec<F16>>, MemError> {
+                (0..tile.rows)
+                    .map(|r| {
+                        let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
+                        cast::castin_slice(mem, job.format, addr, tile.cols)
+                    })
+                    .collect()
+            };
             // The Z pre-image doubles as the accumulate restore point and
             // the ABFT reference's Y operand.
-            let esz = job.format.elem_bytes() as u32;
-            let z_pre: Option<Vec<Vec<F16>>> = if job.accumulate {
-                let mut rows = Vec::with_capacity(tile.rows);
-                for r in 0..tile.rows {
-                    let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                    rows.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
-                }
-                Some(rows)
+            let z_pre = if job.accumulate {
+                Some(z_rows(mem)?)
             } else {
                 None
             };
@@ -842,12 +845,14 @@ impl Engine {
                         // ABFT: recompute the tile from the operands the
                         // engine saw and compare exact f64 checksums. The
                         // check pipeline costs rows + cols + lat cycles.
-                        total_cycles =
-                            total_cycles.saturating_add((tile.rows + tile.cols + lat) as u64);
-                        stats.add("abft_cycles", (tile.rows + tile.cols + lat) as u64);
+                        let abft_cycles = (tile.rows + tile.cols + lat) as u64;
+                        total_cycles = total_cycles.saturating_add(abft_cycles);
+                        stats.add("abft_cycles", abft_cycles);
                         // The checksum pipeline is doing arithmetic, so its
-                        // cycles are attributed to compute.
-                        phases.add_many(Phase::Compute, (tile.rows + tile.cols + lat) as u64);
+                        // cycles are attributed to compute, in the ledger
+                        // and in its `phase_compute` mirror alike.
+                        phases.add_many(Phase::Compute, abft_cycles);
+                        stats.add("phase_compute", abft_cycles);
                         let shape = GemmShape::new(tile.rows, job.n, tile.cols);
                         let mut x_sub = Vec::with_capacity(shape.x_len());
                         for r in 0..tile.rows {
@@ -873,21 +878,12 @@ impl Engine {
                             .chunks(tile.cols.max(1))
                             .map(<[F16]>::to_vec)
                             .collect();
-                        let mut got_rows = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            got_rows.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
-                        }
-                        tile_signature(&got_rows) == tile_signature(&ref_rows)
+                        tile_signature(&z_rows(mem)?) == tile_signature(&ref_rows)
                     }
                     FtMode::Redundancy => {
                         // Duplication with comparison: run the tile again
                         // on the same inputs and vote bitwise.
-                        let mut first = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            first.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
-                        }
+                        let first = z_rows(mem)?;
                         restore(mem, &z_pre)?;
                         let clean_run = self.run(sub_job, mem, hci)?;
                         total_cycles = total_cycles.saturating_add(clean_run.cycles.count());
@@ -895,11 +891,7 @@ impl Engine {
                         stats.merge(&clean_run.stats);
                         stats.incr("ft_runs");
                         phases += clean_run.phases;
-                        let mut second = Vec::with_capacity(tile.rows);
-                        for r in 0..tile.rows {
-                            let addr = sub_job.z_addr + esz * (r * job.z_ld()) as u32;
-                            second.push(cast::castin_slice(mem, job.format, addr, tile.cols)?);
-                        }
+                        let second = z_rows(mem)?;
                         first
                             .iter()
                             .flatten()

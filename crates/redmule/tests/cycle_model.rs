@@ -246,6 +246,30 @@ fn phase_attribution_partitions_fault_tolerant_runs() {
 }
 
 #[test]
+fn phase_stats_mirror_the_ledger_on_fault_tolerant_runs() {
+    let engine = Engine::new(AccelConfig::paper());
+    let shape = GemmShape::new(16, 16, 32);
+    for ft in [FtConfig::replay(), FtConfig::redundancy()] {
+        let (job, mut mem, mut hci) = staged(shape, 53);
+        let report = engine
+            .run_ft(job, &mut mem, &mut hci, &FaultPlan::new(0), ft)
+            .expect("ft run");
+        let mut mirrored = 0;
+        for (label, cycles) in report.phases.iter() {
+            let stat = report.stats.get(&format!("phase_{label}"));
+            assert_eq!(stat, cycles, "{:?}: phase_{label} vs phases", ft.mode);
+            mirrored += stat;
+        }
+        assert_eq!(
+            mirrored,
+            report.cycles.count(),
+            "{:?}: sum of phase_*",
+            ft.mode
+        );
+    }
+}
+
+#[test]
 fn phase_attribution_partitions_partial_reports() {
     let engine = Engine::new(AccelConfig::paper());
     let shape = GemmShape::new(16, 16, 32);

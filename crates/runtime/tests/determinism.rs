@@ -1,16 +1,18 @@
 //! Checkpoint determinism: a run interrupted and resumed from a
 //! serialised checkpoint at *every* tile boundary is bit-identical to an
 //! uninterrupted run — results, cycle counts and fault telemetry — for
-//! random shapes, streamer policies and active fault plans.
+//! random shapes, streamer policies and active fault plans. A pinned
+//! matrix of runs also locks the checkpoint bytes and report counters.
 
 use proptest::prelude::*;
 use redmule::{
-    stage_gemm_workspace, AccelConfig, Engine, EngineSession, FaultInjector, FaultSite, RunReport,
-    StreamerPolicy,
+    stage_gemm_workspace, stage_gemm_workspace_in, AccelConfig, Engine, EngineSession,
+    FaultInjector, FaultSite, Format, RunReport, StreamerPolicy,
 };
-use redmule_cluster::{Hci, Tcdm};
+use redmule_cluster::{Hci, Initiator, Tcdm};
 use redmule_fp16::vector::GemmShape;
 use redmule_fp16::F16;
+use redmule_hwsim::snapshot::fnv1a64;
 use redmule_runtime::Checkpoint;
 
 fn data(shape: GemmShape, seed: u32) -> (Vec<F16>, Vec<F16>) {
@@ -175,5 +177,143 @@ proptest! {
             zbits(&mem_a, job.z_addr, shape.z_len())
         );
         assert_reports_match(&straight, &resumed);
+    }
+}
+
+/// One run of the serialisation lock: a job on the paper instance, stepped
+/// tick by tick, checkpointed at the first tile boundary at or after
+/// `budget` cycles and then driven to completion.
+struct LockCase {
+    policy: StreamerPolicy,
+    format: Format,
+    accumulate: bool,
+    /// Core 0 polls a word in the X operand every cycle, contending with
+    /// the streamer on the interconnect.
+    core_traffic: bool,
+    budget: u64,
+}
+
+/// Runs `case` and returns (checkpoint length, checkpoint FNV-1a-64, final
+/// `RunReport.stats` in name order).
+fn lock_run(case: &LockCase) -> (usize, u64, Vec<(String, u64)>) {
+    let shape = GemmShape::new(20, 24, 40);
+    let (x, w) = data(shape, 7);
+    let y: Vec<F16> = (0..shape.z_len())
+        .map(|i| F16::from_f32((i % 9) as f32 / 4.0 - 1.0))
+        .collect();
+    let (job, mut mem, mut hci) = stage_gemm_workspace_in(
+        shape,
+        case.format,
+        &x,
+        &w,
+        case.accumulate.then_some(&y[..]),
+    )
+    .expect("stage");
+    let engine = Engine::new(AccelConfig::paper()).with_streamer_policy(case.policy);
+    let mut session = engine.start(job).expect("start");
+    let traffic = [(Initiator::Core(0), job.x_addr)];
+    let requests: &[(Initiator, u32)] = if case.core_traffic { &traffic } else { &[] };
+    let mut checkpoint = None;
+    while !session.is_finished() {
+        if checkpoint.is_none() && session.cycle() >= case.budget && session.at_tile_boundary() {
+            let bytes = Checkpoint::capture(&mut session, &mem, &hci)
+                .expect("boundary checkpoint")
+                .to_bytes();
+            checkpoint = Some((bytes.len(), fnv1a64(&bytes)));
+        }
+        session.tick(&mut mem, &mut hci, requests).expect("tick");
+    }
+    let (len, hash) = checkpoint.expect("budget falls inside the run");
+    let stats = session
+        .finish()
+        .stats
+        .iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    (len, hash, stats)
+}
+
+/// A run and its pinned checkpoint length, checkpoint FNV-1a-64 and final
+/// report stats.
+type Locked = (LockCase, usize, u64, &'static [(&'static str, u64)]);
+
+/// Pinned serialisation: any change to the RMSS/RMCK wire form or to
+/// `RunReport.stats` fails here. Change these values only together with a
+/// deliberate format change and its version bump.
+#[test]
+fn checkpoint_bytes_and_report_stats_are_pinned() {
+    use StreamerPolicy::{HalfBandwidth, Interleaved, SingleBufferedW};
+    let case = |policy, format, accumulate, core_traffic, budget| LockCase {
+        policy,
+        format,
+        accumulate,
+        core_traffic,
+        budget,
+    };
+    #[rustfmt::skip]
+    let locked: [Locked; 7] = [
+        (
+            case(Interleaved, Format::Fp16, false, false, 300),
+            132929, 0x859709f678958301,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 3),
+              ("phase_fill", 12), ("phase_refill", 0), ("phase_stall", 0), ("port_idle", 627),
+              ("stall_cycles", 12), ("w_loads", 216), ("x_loads", 120), ("z_stores", 60)],
+        ),
+        (
+            case(Interleaved, Format::Fp16, false, false, 0),
+            132073, 0x5826c46df5eb18e4,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 3),
+              ("phase_fill", 12), ("phase_refill", 0), ("phase_stall", 0), ("port_idle", 627),
+              ("stall_cycles", 12), ("w_loads", 216), ("x_loads", 120), ("z_stores", 60)],
+        ),
+        (
+            case(Interleaved, Format::Fp8E4M3, false, false, 200),
+            133027, 0x10bc6d8cd552fb42,
+            &[("fp8_pair_beats", 104), ("lane_macs", 27648), ("macs", 19200),
+              ("phase_compute", 1008), ("phase_drain", 1), ("phase_fill", 6), ("phase_refill", 0),
+              ("phase_stall", 0), ("port_idle", 723), ("stall_cycles", 6), ("w_loads", 216),
+              ("x_loads", 120), ("z_stores", 60)],
+        ),
+        (
+            case(HalfBandwidth, Format::Fp16, false, false, 300),
+            132955, 0xada11dd3a07383fb,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 6),
+              ("phase_fill", 23), ("phase_refill", 0), ("phase_stall", 0), ("port_gated", 518),
+              ("port_idle", 123), ("stall_cycles", 23), ("w_loads", 216), ("x_loads", 120),
+              ("z_stores", 60)],
+        ),
+        (
+            case(SingleBufferedW, Format::Fp16, false, false, 300),
+            132929, 0xac6b3cbaf3a08f99,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 3),
+              ("phase_fill", 12), ("phase_refill", 180), ("phase_stall", 0), ("port_idle", 807),
+              ("stall_cycles", 192), ("w_loads", 216), ("x_loads", 120), ("z_stores", 60)],
+        ),
+        (
+            case(Interleaved, Format::Fp16, true, false, 300),
+            132983, 0x6964bd232553b55d,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 3),
+              ("phase_fill", 76), ("phase_refill", 0), ("phase_stall", 0), ("port_idle", 619),
+              ("stall_cycles", 76), ("w_loads", 216), ("x_loads", 120), ("z_preloads", 72),
+              ("z_stores", 60)],
+        ),
+        (
+            case(Interleaved, Format::Fp16, false, true, 300),
+            132992, 0xcabeaa01dc66d16a,
+            &[("lane_macs", 27648), ("macs", 19200), ("phase_compute", 1008), ("phase_drain", 4),
+              ("phase_fill", 12), ("phase_refill", 0), ("phase_stall", 2), ("port_conflicts", 74),
+              ("port_idle", 556), ("stall_cycles", 14), ("w_loads", 216), ("x_loads", 120),
+              ("z_stores", 60)],
+        ),
+    ];
+    for (i, (case, len, hash, stats)) in locked.iter().enumerate() {
+        let (got_len, got_hash, got_stats) = lock_run(case);
+        assert_eq!(
+            (got_len, got_hash),
+            (*len, *hash),
+            "case {i}: checkpoint bytes"
+        );
+        let stats: Vec<(String, u64)> = stats.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(got_stats, stats, "case {i}: report stats");
     }
 }
