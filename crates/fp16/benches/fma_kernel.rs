@@ -16,6 +16,15 @@
 //!   row about 21% subnormal plus zeros, W an activation row with ReLU
 //!   zeros, so the partial sums keep landing on zero and subnormal
 //!   results (the staged kernel's second vector tier).
+//!
+//! A second group, `column_l8`, times one cycle-accurate datapath column
+//! of the paper instance (L = 8 rows, phase width 16): every step
+//! broadcasts one W element against the column's latched X row, the X row
+//! is relatched every 16 steps, and the partial sums enter and leave as
+//! binary16 bits, as they do in the datapath's pipelines.
+//! * `scalar_fma` — one `arith::fma` per row per step;
+//! * `fma_row_staged` — the step the datapath takes: W restaged in place
+//!   with `Staged::set`, one `fma_row_staged` call over the L rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use redmule_fp16::arith::fma;
@@ -104,5 +113,54 @@ fn bench_fma(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fma);
+/// Rows of the paper instance's datapath column and its phase width.
+const COL_L: usize = 8;
+const COL_PW: usize = 16;
+
+fn bench_column(c: &mut Criterion) {
+    let (xs, ws) = rows();
+    let mut g = c.benchmark_group("column_l8");
+    g.bench_function("scalar_fma", |b| {
+        b.iter(|| {
+            let mut acc = [0u16; COL_L];
+            let mut x = [0u16; COL_L];
+            for (s, &w) in ws.iter().enumerate() {
+                if s % COL_PW == 0 {
+                    x.copy_from_slice(&xs[s % (N - COL_L)..][..COL_L]);
+                }
+                for (a, &xr) in acc.iter_mut().zip(x.iter()) {
+                    *a = fma(xr, w, *a, Round::NearestEven);
+                }
+            }
+            black_box(acc[0])
+        })
+    });
+    g.bench_function("fma_row_staged", |b| {
+        let mut x = Staged::from_bits_iter(std::iter::repeat_n(0, COL_L));
+        let mut wst = Staged::from_bits_iter(std::iter::once(0));
+        b.iter(|| {
+            let mut bits = [0u16; COL_L];
+            let mut acc = [Acc::ZERO; COL_L];
+            for (s, &w) in ws.iter().enumerate() {
+                if s % COL_PW == 0 {
+                    for (r, &xr) in xs[s % (N - COL_L)..][..COL_L].iter().enumerate() {
+                        x.set(r, xr);
+                    }
+                }
+                for (a, &v) in acc.iter_mut().zip(bits.iter()) {
+                    *a = Acc::from_bits(v);
+                }
+                wst.set(0, w);
+                fma_row_staged(&wst, 0, &x, 0, &mut acc, Round::NearestEven);
+                for (v, a) in bits.iter_mut().zip(acc.iter()) {
+                    *v = a.to_bits();
+                }
+            }
+            black_box(bits[0])
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_fma, bench_column);
 criterion_main!(benches);

@@ -253,6 +253,20 @@ impl Staged {
         }
     }
 
+    /// Restages element `i` in place from its packed encoding, exactly as
+    /// [`Staged::from_bits_iter`] would have staged it. An operand that
+    /// changes every few cycles — the X row a cycle-accurate datapath
+    /// column latches — is kept staged this way with no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn set(&mut self, i: usize, bits: u16) {
+        self.vals[i] = widen(bits);
+        self.bits[i] = bits;
+    }
+
     /// Number of staged elements.
     pub fn len(&self) -> usize {
         self.bits.len()
@@ -420,6 +434,26 @@ mod tests {
             } else {
                 assert_eq!(acc.to_bits(), bits, "bits={bits:#06x}");
             }
+        }
+    }
+
+    #[test]
+    fn set_restages_every_pattern_like_a_fresh_stage() {
+        // Restaging one element in a larger row must leave the same value
+        // lane and the same packed encoding — NaN payload included, which
+        // the scalar fallback reads — as staging that pattern afresh, and
+        // must not disturb the neighbours.
+        let mut row = Staged::from_bits_iter([0x3C00u16, 0x7E01, 0x8001].into_iter());
+        for bits in 0u16..=0xFFFF {
+            row.set(1, bits);
+            let fresh = Staged::from_bits_iter(std::iter::once(bits));
+            assert_eq!(row.bits[1], fresh.bits[0], "bits={bits:#06x}");
+            assert_eq!(
+                row.vals[1].to_bits(),
+                fresh.vals[0].to_bits(),
+                "bits={bits:#06x}"
+            );
+            assert_eq!((row.bits[0], row.bits[2]), (0x3C00, 0x8001));
         }
     }
 

@@ -7,35 +7,51 @@
 //! operate in lockstep on the same output column index, offset column by
 //! column by the FMA latency.
 //!
-//! The model is bit-accurate: every active FMA performs one
-//! [`F16::mul_add`] per cycle, so the array's results are exactly those of
-//! FPnew hardware, and cycle counts emerge from the pipeline structure.
+//! The model is bit-accurate. Each cycle, the `L` FMAs of an active column
+//! share one broadcast W element, so the column step is
+//! `acc[r] = x[r] * w + acc[r]` for every row `r`: the broadcast shape of
+//! the staged FP16 kernel, [`fma_row_staged`], which computes it with
+//! results bit-for-bit those of `arith::fma` — the FPnew-equivalent scalar
+//! FMA — per lane. The kernel broadcasts its *first* operand, so the
+//! column passes W there and the latched X row second; that is the same
+//! computation, because `arith::fma(w, x, c) == arith::fma(x, w, c)` bit
+//! for bit (the product's sign and magnitude are symmetric, and every NaN
+//! result is the canonical quiet NaN whichever operand carried it). Cycle
+//! counts emerge from the pipeline structure.
+//!
+//! Partial sums travel the pipelines as [`F16`] and enter and leave the
+//! kernel per step, so fault injection and pipeline inspection see plain
+//! binary16 registers. A clock-gated padding lane never enters the kernel:
+//! it forwards its `F16` untouched, NaN payload and `-0` included.
+//!
+//! A tick allocates nothing: the X rows are restaged in place when a
+//! column latches new operands, and the values leaving the last column are
+//! returned from a buffer the array owns.
 
 use crate::config::AccelConfig;
-use redmule_fp16::F16;
+use redmule_fp16::kernel::{fma_row_staged, Acc, Staged};
+use redmule_fp16::{Round, F16};
 use redmule_hwsim::faults::flip_bit16;
 use redmule_hwsim::Pipeline;
 
 /// Source of the accumulation input for column 0 this cycle.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Acc0 {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Acc0<'a> {
     /// Start of a fresh output tile: accumulate from zero.
     Zero,
     /// Mid-tile: take the row-ring feedback from the last column.
     Ring,
     /// Accumulate mode (`Z += X*W`): start from preloaded Z values, one per
     /// row, for the output column processed this cycle.
-    Init(Vec<F16>),
+    Init(&'a [F16]),
 }
 
 /// Per-column, per-cycle control word.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ColumnCtrl {
     /// W element broadcast to all `L` FMAs of the column this cycle.
     /// `None` leaves the column idle (startup/drain bubble).
     pub w: Option<F16>,
-    /// When present, latches new X operands (one per row) before computing.
-    pub set_x: Option<Vec<F16>>,
     /// Zero-padding of the reduction dimension: the partial sum passes
     /// through unchanged (the FMA lane is clock-gated, so `-0` survives).
     pub passthrough: bool,
@@ -45,8 +61,14 @@ pub struct ColumnCtrl {
 #[derive(Debug, Clone)]
 pub struct Datapath {
     cfg: AccelConfig,
-    /// `x_ops[h][r]`: operand held by FMA (r, h).
-    x_ops: Vec<Vec<F16>>,
+    /// `xs[h]`: the X operands latched by column `h`, one lane per row.
+    xs: Vec<Staged>,
+    /// The W element broadcast to the column being stepped.
+    w: Staged,
+    /// Kernel accumulators of the column being stepped, one per row.
+    acc: Vec<Acc>,
+    /// Values leaving the last column this cycle, one per row.
+    last: Vec<Option<F16>>,
     /// `pipes[h][r]`: partial-sum pipeline of FMA (r, h), depth `P + 1`.
     pipes: Vec<Vec<Pipeline<F16>>>,
     macs: u64,
@@ -55,9 +77,13 @@ pub struct Datapath {
 impl Datapath {
     /// Builds the array for an accelerator configuration.
     pub fn new(cfg: AccelConfig) -> Datapath {
+        let zeros = || Staged::from_bits_iter(std::iter::repeat_n(F16::ZERO.to_bits(), cfg.l));
         Datapath {
             cfg,
-            x_ops: vec![vec![F16::ZERO; cfg.l]; cfg.h],
+            xs: (0..cfg.h).map(|_| zeros()).collect(),
+            w: Staged::from_bits_iter(std::iter::once(F16::ZERO.to_bits())),
+            acc: vec![Acc::ZERO; cfg.l],
+            last: vec![None; cfg.l],
             pipes: (0..cfg.h)
                 .map(|_| (0..cfg.l).map(|_| Pipeline::new(cfg.latency())).collect())
                 .collect(),
@@ -87,6 +113,21 @@ impl Datapath {
         self.pipes.iter().flatten().all(|p| p.is_empty())
     }
 
+    /// Latches new X operands (one per row) into column `col`; they are
+    /// held until the column latches again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not yield exactly `L` operands or `col` is not a
+    /// column.
+    pub fn latch_x(&mut self, col: usize, x: impl ExactSizeIterator<Item = F16>) {
+        assert_eq!(x.len(), self.cfg.l, "one X operand per row");
+        let lanes = &mut self.xs[col];
+        for (r, v) in x.enumerate() {
+            lanes.set(r, v.to_bits());
+        }
+    }
+
     /// Advances the array one clock cycle.
     ///
     /// Returns the values leaving the **last** column this cycle (one per
@@ -97,59 +138,70 @@ impl Datapath {
     ///
     /// Panics if an active column's accumulation input is a bubble — that
     /// is a scheduler bug, since the ring is rate-matched by construction.
-    pub fn tick(&mut self, ctrl: &[ColumnCtrl], acc0: &Acc0) -> Vec<Option<F16>> {
+    pub fn tick(&mut self, ctrl: &[ColumnCtrl], acc0: Acc0<'_>) -> &[Option<F16>] {
         assert_eq!(ctrl.len(), self.cfg.h, "one control word per column");
 
-        // Hardware registers are read before they are written: snapshot the
-        // value leaving every pipeline this cycle.
-        let outs: Vec<Vec<Option<F16>>> = self
-            .pipes
-            .iter()
-            .map(|col| col.iter().map(|p| p.back().copied()).collect())
-            .collect();
+        // Hardware registers are read before they are written. The last
+        // column's outputs (the ring feedback) are latched first; the
+        // columns then advance from the last to the first, so each reads
+        // its predecessor's output before the predecessor ticks.
+        let Datapath {
+            xs,
+            w: w_lane,
+            acc,
+            last,
+            pipes,
+            macs,
+            ..
+        } = self;
+        // modelcheck-allow: RM-PANIC-001 -- structural invariant: AccelConfig
+        // rejects H = 0, so the pipes vector is never empty.
+        let last_col = pipes.last().expect("H >= 1");
+        for (o, p) in last.iter_mut().zip(last_col) {
+            *o = p.back().copied();
+        }
 
-        for (h, cc) in ctrl.iter().enumerate() {
-            if let Some(new_x) = &cc.set_x {
-                assert_eq!(new_x.len(), self.cfg.l, "one X operand per row");
-                self.x_ops[h].copy_from_slice(new_x);
+        for h in (0..ctrl.len()).rev() {
+            let (before, from_h) = pipes.split_at_mut(h);
+            let cc = ctrl[h];
+            let input = |r: usize| -> F16 {
+                match before.last() {
+                    // modelcheck-allow: RM-PANIC-001 -- datapath invariant:
+                    // columns feed forward in lockstep, so a mid-row bubble
+                    // means the schedule is broken.
+                    Some(prev) => *prev[r].back().expect("partial-sum bubble mid-row"),
+                    None => match acc0 {
+                        Acc0::Zero => F16::ZERO,
+                        Acc0::Init(vals) => vals[r],
+                        // modelcheck-allow: RM-PANIC-001 -- datapath
+                        // invariant: the ring feedback path is only
+                        // selected when the last column holds a value.
+                        Acc0::Ring => last[r].expect("ring feedback bubble reached column 0"),
+                    },
+                }
+            };
+            let compute = cc.w.filter(|_| !cc.passthrough);
+            if let Some(w) = compute {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    *a = Acc::from_bits(input(r).to_bits());
+                }
+                w_lane.set(0, w.to_bits());
+                fma_row_staged(w_lane, 0, &xs[h], 0, acc, Round::NearestEven);
+                *macs += acc.len() as u64;
             }
-            for r in 0..self.cfg.l {
-                let input = match cc.w {
-                    None => None, // idle column: insert a bubble
-                    Some(w) => {
-                        let acc = if h == 0 {
-                            match acc0 {
-                                Acc0::Zero => F16::ZERO,
-                                Acc0::Init(vals) => vals[r],
-                                // modelcheck-allow: RM-PANIC-001 -- datapath
-                                // invariant: the ring feedback path is only
-                                // selected when the last column holds a value.
-                                Acc0::Ring => outs[self.cfg.h - 1][r]
-                                    .expect("ring feedback bubble reached column 0"),
-                            }
-                        } else {
-                            // modelcheck-allow: RM-PANIC-001 -- datapath
-                            // invariant: columns feed forward in lockstep, so
-                            // a mid-row bubble means the schedule is broken.
-                            outs[h - 1][r].expect("partial-sum bubble mid-row")
-                        };
-                        if cc.passthrough {
-                            Some(acc)
-                        } else {
-                            self.macs += 1;
-                            Some(self.x_ops[h][r].mul_add(w, acc))
-                        }
-                    }
+            for (r, p) in from_h[0].iter_mut().enumerate() {
+                let v = match (cc.w, compute) {
+                    (None, _) => None, // idle column: insert a bubble
+                    (Some(_), Some(_)) => Some(F16::from_bits(acc[r].to_bits())),
+                    // Clock-gated pad lane: the F16 is forwarded bit for bit.
+                    (Some(_), None) => Some(input(r)),
                 };
                 // modelcheck-allow: RM-ERR-001 -- name collision: the FMA
                 // pipeline's `tick` returns unit, not the engine's Result.
-                self.pipes[h][r].tick(input);
+                p.tick(v);
             }
         }
-
-        // modelcheck-allow: RM-PANIC-001 -- structural invariant: AccelConfig
-        // rejects H = 0, so the outs vector is never empty.
-        outs.into_iter().next_back().expect("H >= 1")
+        last
     }
 
     /// Flips `bit` of the partial sum held in pipeline stage `stage`
@@ -180,8 +232,10 @@ impl Datapath {
                 p.reset();
             }
         }
-        for col in &mut self.x_ops {
-            col.fill(F16::ZERO);
+        for lanes in &mut self.xs {
+            for r in 0..lanes.len() {
+                lanes.set(r, F16::ZERO.to_bits());
+            }
         }
     }
 }
@@ -222,23 +276,16 @@ mod tests {
                 let n_idx = phase * cfg.h + h;
                 let pad = n_idx >= n_real;
                 let w_elem = if pad { F16::ZERO } else { w[n_idx][j] };
-                let set_x = if j == 0 {
-                    Some(
-                        (0..l)
-                            .map(|r| if pad { F16::ZERO } else { x[r][n_idx] })
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
+                if j == 0 {
+                    dp.latch_x(h, (0..l).map(|r| if pad { F16::ZERO } else { x[r][n_idx] }));
+                }
                 ctrl.push(ColumnCtrl {
                     w: Some(w_elem),
-                    set_x,
                     passthrough: pad,
                 });
             }
             let acc0 = if t < pw { Acc0::Zero } else { Acc0::Ring };
-            let outs = dp.tick(&ctrl, &acc0);
+            let outs = dp.tick(&ctrl, acc0);
             if t >= final_start && t < final_start + pw {
                 let j = t - final_start;
                 for (r, v) in outs.iter().enumerate() {
@@ -314,13 +361,43 @@ mod tests {
         let mut dp = Datapath::new(cfg);
         let ctrl = [ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE]),
             passthrough: true,
         }];
-        dp.tick(&ctrl, &Acc0::Init(vec![F16::NEG_ZERO]));
-        let out = dp.tick(&[ColumnCtrl::default()], &Acc0::Zero);
+        dp.latch_x(0, [F16::ONE].into_iter());
+        dp.tick(&ctrl, Acc0::Init(&[F16::NEG_ZERO]));
+        let out = dp.tick(&[ColumnCtrl::default()], Acc0::Zero);
         assert_eq!(out[0].expect("value emerges").to_bits(), 0x8000);
         assert_eq!(dp.macs(), 0, "passthrough must not count as a MAC");
+    }
+
+    #[test]
+    fn passthrough_preserves_nan_payload() {
+        // A clock-gated pad lane forwards its F16 untouched: a
+        // non-canonical NaN from the accumulate-mode preload keeps its
+        // payload, while an active lane canonicalises it like any FMA.
+        let cfg = AccelConfig::new(1, 2, 0);
+        let mut dp = Datapath::new(cfg);
+        let init = [F16::from_bits(0x7E01), F16::from_bits(0xFC01)];
+        dp.latch_x(0, [F16::ONE, F16::ONE].into_iter());
+        let pad = [ColumnCtrl {
+            w: Some(F16::ONE),
+            passthrough: true,
+        }];
+        let drain = |dp: &mut Datapath| -> Vec<u16> {
+            let out = dp.tick(&[ColumnCtrl::default()], Acc0::Zero);
+            out.iter()
+                .map(|v| v.expect("value emerges").to_bits())
+                .collect()
+        };
+        dp.tick(&pad, Acc0::Init(&init));
+        assert_eq!(drain(&mut dp), [0x7E01, 0xFC01]);
+
+        let active = [ColumnCtrl {
+            w: Some(F16::ONE),
+            passthrough: false,
+        }];
+        dp.tick(&active, Acc0::Init(&init));
+        assert_eq!(drain(&mut dp), [0x7E00, 0x7E00]);
     }
 
     #[test]
@@ -332,14 +409,14 @@ mod tests {
         let mut ctrl: Vec<ColumnCtrl> = (0..cfg.h).map(|_| ColumnCtrl::default()).collect();
         ctrl[0] = ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE; cfg.l]),
             passthrough: false,
         };
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.latch_x(0, std::iter::repeat_n(F16::ONE, cfg.l));
+        dp.tick(&ctrl, Acc0::Zero);
         assert_eq!(dp.macs(), cfg.l as u64);
         // A pad (passthrough) cycle adds nothing.
         ctrl[0].passthrough = true;
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.tick(&ctrl, Acc0::Zero);
         assert_eq!(dp.macs(), cfg.l as u64);
     }
 
@@ -349,11 +426,11 @@ mod tests {
         let mut dp = Datapath::new(cfg);
         let ctrl = [ColumnCtrl {
             w: Some(F16::TWO),
-            set_x: Some(vec![f(3.0), f(4.0)]),
             passthrough: false,
         }];
-        dp.tick(&ctrl, &Acc0::Init(vec![f(10.0), f(20.0)]));
-        let out = dp.tick(&[ColumnCtrl::default()], &Acc0::Zero);
+        dp.latch_x(0, [f(3.0), f(4.0)].into_iter());
+        dp.tick(&ctrl, Acc0::Init(&[f(10.0), f(20.0)]));
+        let out = dp.tick(&[ColumnCtrl::default()], Acc0::Zero);
         assert_eq!(out[0].expect("row 0").to_f32(), 16.0);
         assert_eq!(out[1].expect("row 1").to_f32(), 28.0);
     }
@@ -365,10 +442,10 @@ mod tests {
         let mut ctrl: Vec<ColumnCtrl> = (0..cfg.h).map(|_| ColumnCtrl::default()).collect();
         ctrl[0] = ColumnCtrl {
             w: Some(F16::ONE),
-            set_x: Some(vec![F16::ONE; cfg.l]),
             passthrough: false,
         };
-        dp.tick(&ctrl, &Acc0::Zero);
+        dp.latch_x(0, std::iter::repeat_n(F16::ONE, cfg.l));
+        dp.tick(&ctrl, Acc0::Zero);
         assert!(!dp.is_drained());
         dp.reset();
         assert!(dp.is_drained());
@@ -378,6 +455,6 @@ mod tests {
     #[should_panic(expected = "one control word per column")]
     fn control_width_checked() {
         let mut dp = Datapath::new(AccelConfig::paper());
-        let _ = dp.tick(&[], &Acc0::Zero);
+        let _ = dp.tick(&[], Acc0::Zero);
     }
 }

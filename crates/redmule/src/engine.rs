@@ -1309,6 +1309,12 @@ struct Sim {
     zpre_cursor: (usize, usize),
     zpre: Vec<Vec<F16>>,
     zpre_ready_tile: usize,
+    // modelcheck-allow: RM-SNAP-001 -- scratch: the column-0 accumulate
+    // preload, rebuilt from zpre every cycle by compute_cycle.
+    acc0_init: Vec<F16>,
+    // modelcheck-allow: RM-SNAP-001 -- scratch: the per-column control
+    // words, rebuilt every cycle by compute_cycle.
+    ctrl: Vec<ColumnCtrl>,
 
     /// Pending Z stores.
     store_queue: std::collections::VecDeque<StoreReq>,
@@ -1362,6 +1368,8 @@ impl Sim {
             zpre_cursor: (0, 0),
             zpre: vec![vec![F16::ZERO; pw]; cfg.l],
             zpre_ready_tile: usize::MAX,
+            acc0_init: vec![F16::ZERO; cfg.l],
+            ctrl: vec![ColumnCtrl::default(); cfg.h],
             store_queue: std::collections::VecDeque::new(),
             counters: PortCounters::default(),
             useful_macs: 0,
@@ -1513,11 +1521,10 @@ impl Sim {
         }
 
         // ---- Build per-column control ----
-        let mut ctrl: Vec<ColumnCtrl> = Vec::with_capacity(h_count);
         for h in 0..h_count {
             let t_col = t as i64 - (h * lat) as i64;
             if t_col < 0 || t_col as usize >= self.n_phases * pw {
-                ctrl.push(ColumnCtrl::default());
+                self.ctrl[h] = ColumnCtrl::default();
                 continue;
             }
             let t_col = t_col as usize;
@@ -1533,28 +1540,23 @@ impl Sim {
             if j == 0 {
                 let ok = self.wb.activate(h);
                 debug_assert!(ok, "stall check guarantees the staged group");
-            }
-            let w_elem = self.wb.broadcast(h);
-            let set_x = if j == 0 {
                 let chunk_elem = (phase % lat) * h_count + h;
-                Some(
-                    (0..self.cfg.l)
-                        .map(|r| self.xb.operand(r, chunk_elem))
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            ctrl.push(ColumnCtrl {
-                w: Some(w_elem),
-                set_x,
+                let xb = &self.xb;
+                self.dp
+                    .latch_x(h, (0..self.cfg.l).map(|r| xb.operand(r, chunk_elem)));
+            }
+            self.ctrl[h] = ColumnCtrl {
+                w: Some(self.wb.broadcast(h)),
                 passthrough: pad,
-            });
+            };
         }
 
         let acc0 = if t < pw {
             if self.job.accumulate {
-                Acc0::Init((0..self.cfg.l).map(|r| self.zpre[r][t]).collect())
+                for (v, row) in self.acc0_init.iter_mut().zip(&self.zpre) {
+                    *v = row[t];
+                }
+                Acc0::Init(&self.acc0_init)
             } else {
                 Acc0::Zero
             }
@@ -1562,7 +1564,7 @@ impl Sim {
             Acc0::Ring
         };
 
-        let outs = self.dp.tick(&ctrl, &acc0);
+        let outs = self.dp.tick(&self.ctrl, acc0);
 
         // ---- Capture finished outputs ----
         if t >= final_start && t < final_start + pw {

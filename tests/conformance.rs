@@ -20,7 +20,7 @@
 
 use proptest::TestRng;
 use redmule_suite::cluster::{baseline::SwGemm, ClusterConfig};
-use redmule_suite::fp16::vector::GemmShape;
+use redmule_suite::fp16::vector::{gemm_golden_accumulate, GemmShape};
 use redmule_suite::fp16::F16;
 use redmule_suite::redmule::{Accelerator, Format, FunctionalGemm};
 
@@ -118,8 +118,9 @@ fn run_case(c: Case) -> Result<(), String> {
     Ok(())
 }
 
-/// The accumulate-mode variant: functional vs engine (the SW baseline
-/// has no Y input).
+/// The accumulate-mode variant: functional vs engine, plus the golden
+/// model as the independent oracle (the SW baseline has no Y input, and
+/// the functional backend and the engine share the staged FP16 kernel).
 fn run_accumulate_case(c: Case) -> Result<(), String> {
     let shape = c.shape();
     let x = matrix(shape.x_len(), c.seed ^ 0xA5A5_A5A5_A5A5_A5A5);
@@ -132,14 +133,36 @@ fn run_accumulate_case(c: Case) -> Result<(), String> {
     let hw = Accelerator::paper_instance()
         .gemm_accumulate(shape, &x, &w, &y)
         .map_err(|e| format!("engine error: {e}"))?;
-    diff("functional+Y", &func.z, "engine+Y", &hw.z)
+    let golden = golden_format(Format::Fp16, shape, &x, &w, Some(&y));
+    diff("functional+Y", &func.z, "engine+Y", &hw.z)?;
+    diff("engine+Y", &hw.z, "golden+Y", &golden)
+}
+
+/// The golden model run at a storage format's quantisation boundary:
+/// operands (and Y) quantised on the way in, the result on the way out.
+/// It folds the scalar integer FMA, independent of the staged kernel that
+/// the functional backend and the engine share.
+fn golden_format(
+    format: Format,
+    shape: GemmShape,
+    x: &[F16],
+    w: &[F16],
+    y: Option<&[F16]>,
+) -> Vec<F16> {
+    let q = |v: &[F16]| -> Vec<F16> { v.iter().map(|&e| format.quantize(e)).collect() };
+    let y = y.map(q);
+    gemm_golden_accumulate(shape, &q(x), &q(w), y.as_deref())
+        .into_iter()
+        .map(|e| format.quantize(e))
+        .collect()
 }
 
 /// The FP8 differential: operands stored in an 8-bit format, widened at
 /// buffer fill (castin) and narrowed at store drain (castout). The
 /// functional backend models the same quantisation boundary, so the two
 /// must agree bitwise — including NaN canonicalisation, E4M3's
-/// NaN-on-overflow and E5M2's infinities.
+/// NaN-on-overflow and E5M2's infinities — and with the golden model run
+/// at the same boundary.
 fn run_fp8_case(format: Format, c: Case) -> Result<(), String> {
     let shape = c.shape();
     let x = matrix(shape.x_len(), c.seed ^ 0xA5A5_A5A5_A5A5_A5A5);
@@ -151,7 +174,9 @@ fn run_fp8_case(format: Format, c: Case) -> Result<(), String> {
     let hw = Accelerator::paper_instance()
         .gemm_with_format(shape, format, &x, &w)
         .map_err(|e| format!("engine error: {e}"))?;
-    diff("functional", &func.z, "engine", &hw.z)
+    let golden = golden_format(format, shape, &x, &w, None);
+    diff("functional", &func.z, "engine", &hw.z)?;
+    diff("engine", &hw.z, "golden", &golden)
 }
 
 /// The FP8 accumulate-mode variant (Y is stored in the same format).
@@ -167,7 +192,9 @@ fn run_fp8_accumulate_case(format: Format, c: Case) -> Result<(), String> {
     let hw = Accelerator::paper_instance()
         .gemm_accumulate_with_format(shape, format, &x, &w, &y)
         .map_err(|e| format!("engine error: {e}"))?;
-    diff("functional+Y", &func.z, "engine+Y", &hw.z)
+    let golden = golden_format(format, shape, &x, &w, Some(&y));
+    diff("functional+Y", &func.z, "engine+Y", &hw.z)?;
+    diff("engine+Y", &hw.z, "golden+Y", &golden)
 }
 
 fn diff(name_a: &str, a: &[F16], name_b: &str, b: &[F16]) -> Result<(), String> {
